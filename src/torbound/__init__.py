@@ -28,7 +28,6 @@ from .chern import (
 )
 from .combinatorics import (
     CompositionMultiset,
-    binomial_product,
     enumerate_compositions,
     inverse_series_coeff,
     signed_multinomial,
@@ -60,7 +59,6 @@ __all__ = [
     "ValidationError",
     "WittPair",
     "WittRing",
-    "binomial_product",
     "carry_coefficients",
     "chern_normal",
     "chern_tangent",

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import (
+    _validate_geometry,
     chern_tangent,
     cotangent_chern,
     deg_cotangent,
     frobenius_scale,
     top_integral,
 )
-from .combinatorics import enumerate_compositions, signed_multinomial, w_coeff, z_coeff
+from .combinatorics import inverse_series_coeff, sym_elementary, w_coeff
 from .errors import InternalConsistencyError, ValidationError
 from .primes import is_prime, next_prime
 
@@ -33,26 +34,20 @@ FLAG_UNIFORM_CHECKED = "uniform_specialization_checked"
 
 
 def _validate_bound_shape(n, c, exponents, d):
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError("n >= 2 violated")
-    if not isinstance(c, int) or not 1 <= c <= n - 1:
-        raise ValidationError("1 <= c <= n-1 violated")
+    exps = _validate_geometry(n, c, exponents, d)
     if 2 * c < n:
         raise ValidationError("2c >= n violated")
-    exps = tuple(exponents)
-    if len(exps) != c:
-        raise ValidationError(f"exponents length {len(exps)} != c = {c}")
-    if any(not isinstance(e, int) or e < 1 for e in exps):
-        raise ValidationError("exponents >= 1 violated")
-    if not isinstance(d, int) or d < 1:
-        raise ValidationError("degL >= 1 violated")
     return exps
 
 
-def _sigma(convention):
+def _column(convention):
     if convention not in CONVENTIONS:
         raise ValidationError("convention must be paper|dual")
-    return -1 if convention == "paper" else 1
+    return "term_" + convention
+
+
+def _column_sum(rows, column):
+    return sum(getattr(r, column) for r in rows)
 
 
 def threshold_debarre(n, c, exponents, d):
@@ -70,27 +65,42 @@ def threshold_lemma_p(n_dim, deg_omega):
     return n_dim**2 * deg_omega
 
 
-def _inner_sum_w(m, c):
-    # sum over composition multisets of weight m with per-size weights W_{i,c}
-    total = 0
-    for beta in enumerate_compositions(m):
-        prod = 1
-        for i, r in enumerate(beta.multiplicities, start=1):
-            if r:
-                prod *= w_coeff(i, c) ** r
-        total += signed_multinomial(beta) * prod
-    return total
+@dataclass(frozen=True)
+class PexTerm:
+    """One h-indexed row of the jet-bundle degree sum, both conventions."""
+
+    h: int
+    binom_coeff: int
+    inner_sum: int
+    term_paper: int
+    term_dual: int
 
 
-def _inner_sum_z(m, c, exponents):
-    total = 0
-    for beta in enumerate_compositions(m):
-        prod = 1
-        for i, r in enumerate(beta.multiplicities, start=1):
-            if r:
-                prod *= z_coeff(i, c, exponents) ** r
-        total += signed_multinomial(beta) * prod
-    return total
+def _inverse_table(exps, dim, uniform):
+    # Coefficients 0..dim of the inverse of (1+t)**c (uniform route) or of
+    # prod (1 + e_j t) (general route, e_1..e_dim enumerated once).
+    if uniform:
+        return tuple(w_coeff(m, len(exps)) for m in range(dim + 1))
+    head = tuple(sym_elementary(exps, j) for j in range(1, dim + 1))
+    return tuple(inverse_series_coeff(head[:i], i) for i in range(dim + 1))
+
+
+def _closed_form_rows(n, c, exps, d, p, uniform):
+    # The h-loop of both closed forms: row h, m = n - c - h, has the inner
+    # sum kernel(table[1..m]) and the term binom(2(n-c), h) * (sigma p)**m *
+    # inner * e**(n-h) * d (uniform) or * prod(e_j) * d (general).
+    dim = n - c
+    table = _inverse_table(exps, dim, uniform)
+    scale = exps[0] if uniform else 1  # e**(n-h) = e**c * e**m
+    weight = math.prod(exps) * d
+    rows = []
+    for h in range(dim + 1):
+        m = dim - h
+        binom = math.comb(2 * dim, h)
+        inner = inverse_series_coeff(table[1 : m + 1], m)
+        base = binom * inner * weight
+        rows.append(PexTerm(h, binom, inner, base * (-p * scale) ** m, base * (p * scale) ** m))
+    return tuple(rows)
 
 
 def pex_closed_form_uniform(n, c, e, d, p, convention):
@@ -98,19 +108,8 @@ def pex_closed_form_uniform(n, c, e, d, p, convention):
     exps = _validate_bound_shape(n, c, (e,) * c, d)
     if not is_prime(p):
         raise ValidationError("p must be prime")
-    sigma = _sigma(convention)
-    e = exps[0]
-    total = 0
-    for h in range(n - c + 1):
-        m = n - c - h
-        total += (
-            math.comb(2 * n - 2 * c, h)
-            * (sigma * p) ** m
-            * _inner_sum_w(m, c)
-            * e ** (n - h)
-            * d
-        )
-    return total
+    column = _column(convention)
+    return _column_sum(_closed_form_rows(n, c, exps, d, p, True), column)
 
 
 def pex_closed_form_general(n, c, exponents, d, p, convention):
@@ -118,18 +117,8 @@ def pex_closed_form_general(n, c, exponents, d, p, convention):
     exps = _validate_bound_shape(n, c, exponents, d)
     if not is_prime(p):
         raise ValidationError("p must be prime")
-    sigma = _sigma(convention)
-    weight = math.prod(exps) * d
-    total = 0
-    for h in range(n - c + 1):
-        m = n - c - h
-        total += (
-            math.comb(2 * n - 2 * c, h)
-            * (sigma * p) ** m
-            * _inner_sum_z(m, c, exps)
-            * weight
-        )
-    return total
+    column = _column(convention)
+    return _column_sum(_closed_form_rows(n, c, exps, d, p, False), column)
 
 
 def _pex_geometric(n, c, exponents, d, p, convention):
@@ -150,69 +139,46 @@ def _pex_geometric(n, c, exponents, d, p, convention):
     )
 
 
-@dataclass(frozen=True)
-class PexTerm:
-    """One h-indexed row of the jet-bundle degree sum, both conventions."""
-
-    h: int
-    binom_coeff: int
-    inner_sum: int
-    term_paper: int
-    term_dual: int
-
-
 def pex_terms(n, c, exponents, d, p):
-    """Per-h term table of the jet-bundle degree, both sign conventions.
+    """Per-h term table of the jet-bundle degree, verified in both conventions.
 
-    For constant exponent sequences the rows carry the uniform inner sums and
-    the general route is asserted against them row by row; otherwise the rows
-    carry the general inner sums.
+    The general closed form is always built. For constant exponent sequences
+    the uniform closed form is built too, asserted against it row by row, and
+    its rows are returned. Then the paper and the dual column sums are each
+    asserted against the Segre-series route. Any disagreement raises
+    InternalConsistencyError.
     """
     exps = _validate_bound_shape(n, c, exponents, d)
     if not is_prime(p):
         raise ValidationError("p must be prime")
-    uniform = len(set(exps)) == 1
-    weight = math.prod(exps) * d
-    rows = []
-    for h in range(n - c + 1):
-        m = n - c - h
-        binom = math.comb(2 * n - 2 * c, h)
-        general_inner = _inner_sum_z(m, c, exps)
-        general_paper = binom * (-p) ** m * general_inner * weight
-        general_dual = binom * p**m * general_inner * weight
-        if uniform:
-            e = exps[0]
-            inner = _inner_sum_w(m, c)
-            term_paper = binom * (-p) ** m * inner * e ** (n - h) * d
-            term_dual = binom * p**m * inner * e ** (n - h) * d
-            if (term_paper, term_dual) != (general_paper, general_dual):
+    rows = _closed_form_rows(n, c, exps, d, p, False)
+    if len(set(exps)) == 1:
+        uniform = _closed_form_rows(n, c, exps, d, p, True)
+        for u, g in zip(uniform, rows):
+            if (u.term_paper, u.term_dual) != (g.term_paper, g.term_dual):
                 raise InternalConsistencyError(
-                    f"uniform specialization disagrees at h={h}: "
-                    f"({term_paper}, {term_dual}) vs ({general_paper}, {general_dual})"
+                    f"uniform specialization disagrees at h={u.h}: "
+                    f"({u.term_paper}, {u.term_dual}) vs ({g.term_paper}, {g.term_dual})"
                 )
-        else:
-            inner = general_inner
-            term_paper, term_dual = general_paper, general_dual
-        rows.append(PexTerm(h, binom, inner, term_paper, term_dual))
-    return tuple(rows)
+        rows = uniform
+    for convention in CONVENTIONS:
+        total = _column_sum(rows, _column(convention))
+        geometric = _pex_geometric(n, c, exps, d, p, convention)
+        if total != geometric:
+            raise InternalConsistencyError(
+                f"jet-bundle degree ({convention}) disagrees: "
+                f"closed form {total}, geometric {geometric}"
+            )
+    return rows
 
 
 def deg_pex(n, c, exponents, d, p, convention):
-    """Jet-bundle degree under one sign convention, dual-path verified.
+    """Jet-bundle degree under one sign convention: a column sum of pex_terms.
 
-    The closed-form term sum and the Segre-series route must agree exactly;
-    disagreement raises InternalConsistencyError.
+    pex_terms checks both columns against the Segre-series route.
     """
-    sigma = _sigma(convention)
-    rows = pex_terms(n, c, exponents, d, p)
-    total = sum(r.term_paper if sigma < 0 else r.term_dual for r in rows)
-    geometric = _pex_geometric(n, c, tuple(exponents), d, p, convention)
-    if total != geometric:
-        raise InternalConsistencyError(
-            f"jet-bundle degree ({convention}) disagrees: "
-            f"closed form {total}, geometric {geometric}"
-        )
-    return total
+    column = _column(convention)
+    return _column_sum(pex_terms(n, c, exponents, d, p), column)
 
 
 def deg_abelian_bound(n, d, p):
@@ -296,15 +262,12 @@ def torsion_bound(inp):
         prime_used = inp.p
     deg_cot = deg_cotangent(n, c, exps, d)
     terms = pex_terms(n, c, exps, d, prime_used)
-    pex_paper = deg_pex(n, c, exps, d, prime_used, "paper")
-    pex_dual = deg_pex(n, c, exps, d, prime_used, "dual")
+    pex_paper = _column_sum(terms, "term_paper")
+    pex_dual = _column_sum(terms, "term_dual")
     deg_ab = deg_abelian_bound(n, d, prime_used)
     bound_paper = deg_ab * pex_paper
     bound_dual = deg_ab * pex_dual
-    if inp.uniform:
-        w_table = tuple(w_coeff(m, c) for m in range(n - c + 1))
-    else:
-        w_table = tuple(z_coeff(i, c, exps) for i in range(n - c + 1))
+    w_table = _inverse_table(exps, n - c, inp.uniform)
     flags = set()
     if bound_paper <= 0:
         flags.add(FLAG_PAPER_NONPOSITIVE)

@@ -10,22 +10,26 @@ codimension j.
 
 import math
 
-from .combinatorics import inverse_series_coeff, sym_elementary
+from .combinatorics import inverse_series_coeff
 from .errors import InternalConsistencyError, ValidationError
 from .series import CycleClass, TruncatedSeries
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _validate_geometry(n, c, exponents, d):
-    if n < 2:
+    if not _is_int(n) or n < 2:
         raise ValidationError("n >= 2 violated")
-    if not 1 <= c <= n - 1:
+    if not _is_int(c) or not 1 <= c <= n - 1:
         raise ValidationError("1 <= c <= n-1 violated")
     exps = tuple(exponents)
     if len(exps) != c:
         raise ValidationError(f"exponents length {len(exps)} != c = {c}")
-    if any(not isinstance(e, int) or e < 1 for e in exps):
+    if any(not _is_int(e) or e < 1 for e in exps):
         raise ValidationError("exponents >= 1 violated")
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise ValidationError("degL >= 1 violated")
     return exps
 
@@ -33,8 +37,9 @@ def _validate_geometry(n, c, exponents, d):
 def chern_normal(c, exponents, order):
     """Chern series of the normal bundle: product of (1 + e_j t).
 
-    Coefficient j is the j-th elementary symmetric value of the exponents
-    (zero past j = c).
+    Built by series multiplication, so coefficient j equals the j-th
+    elementary symmetric value of the exponents (zero past j = c) without
+    calling sym_elementary, which belongs to the closed-form route.
     """
     if c < 1:
         raise ValidationError("c must be >= 1")
@@ -45,8 +50,10 @@ def chern_normal(c, exponents, order):
         raise ValidationError("exponents >= 1 violated")
     if order < 0:
         raise ValidationError("series order must be >= 0")
-    coeffs = tuple(sym_elementary(exps, j) for j in range(order + 1))
-    return TruncatedSeries(coeffs, order=order)
+    out = TruncatedSeries.one(order)
+    for e in exps:
+        out = out * TruncatedSeries((1, e)[: order + 1], order=order)
+    return out
 
 
 def chern_tangent(c, exponents, order):

@@ -2,16 +2,16 @@
 
 A composition multiset of weight m records how many parts of each size a
 partition of m has: multiplicities (r_1, r_2, ...) with sum i*r_i = m.
-Summing signed multinomials over all of them, with various per-part weights,
-yields the closed-form coefficients of inverted power series; the series
-module's recurrence is the oracle those sums are tested against.
+Summing signed multinomials over all of them, weighted by powers of a head
+sequence, yields the coefficients of an inverted power series in closed form
+(inverse_series_coeff); the series module's recurrence is its oracle.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 # Enumeration is exponential in the weight (partition count); anything past
 # this cap is a sign the caller is misusing a desk-scale tool.
@@ -25,7 +25,9 @@ class CompositionMultiset:
     multiplicities: tuple
 
     def __post_init__(self):
-        mults = tuple(int(r) for r in self.multiplicities)
+        mults = tuple(self.multiplicities)
+        if any(not isinstance(r, int) or isinstance(r, bool) for r in mults):
+            raise ValidationError("multiplicities must be ints")
         if any(r < 0 for r in mults):
             raise ValidationError("multiplicities must be >= 0")
         object.__setattr__(self, "multiplicities", mults)
@@ -62,7 +64,7 @@ def enumerate_compositions(m):
     if m < 0:
         raise ValidationError("weight must be >= 0")
     if m > MAX_COMPOSITION_WEIGHT:
-        raise ValidationError(
+        raise CapacityError(
             f"composition weight cap exceeded ({MAX_COMPOSITION_WEIGHT})"
         )
     out = []
@@ -90,37 +92,18 @@ def signed_multinomial(beta):
     return (-1) ** total * coeff
 
 
-def binomial_product(c, beta):
-    """Product over part sizes j of binom(c, j)**r_j.
-
-    Sizes exceeding c contribute binom(c, j) = 0, which is a value, not an
-    error.
-    """
-    if c < 1:
-        raise ValidationError("c must be >= 1")
-    mults = _mults(beta)
-    out = 1
-    for j, r in enumerate(mults, start=1):
-        if r:
-            out *= math.comb(c, j) ** r
-    return out
-
-
 def w_coeff(m, c):
     """Coefficient m of the inverse of (1+t)**c, by composition sums.
 
-    Definitional route: sum of signed_multinomial(beta) * binomial_product
-    over all composition multisets of weight m. Closed form (test identity):
-    (-1)**m * binom(c+m-1, m).
+    Definitional route: the composition-sum kernel over the head
+    binom(c, 1..m); sizes past c weigh binom(c, j) = 0. Closed form (test
+    identity): (-1)**m * binom(c+m-1, m).
     """
     if m < 0:
         raise ValidationError("m must be >= 0")
     if c < 1:
         raise ValidationError("c must be >= 1")
-    return sum(
-        signed_multinomial(beta) * binomial_product(c, beta)
-        for beta in enumerate_compositions(m)
-    )
+    return inverse_series_coeff(tuple(math.comb(c, j) for j in range(1, m + 1)), m)
 
 
 def sym_elementary(values, j):
@@ -156,9 +139,9 @@ def sym_complete(values, i):
 def z_coeff(i, c, exponents):
     """Coefficient i of the inverse of prod_j (1 + e_j t), by composition sums.
 
-    Per-part weights are elementary symmetric values of the exponents. The
-    exponent sequence must have length c. Closed form (test identity):
-    (-1)**i * sym_complete(exponents, i).
+    The composition-sum kernel over the head of elementary symmetric values
+    e_1..e_i of the exponents, which must have length c. Closed form (test
+    identity): (-1)**i * sym_complete(exponents, i).
     """
     if i < 0:
         raise ValidationError("i must be >= 0")
@@ -167,18 +150,15 @@ def z_coeff(i, c, exponents):
     exps = tuple(exponents)
     if len(exps) != c:
         raise ValidationError(f"exponent sequence length {len(exps)} != c = {c}")
-    total = 0
-    for beta in enumerate_compositions(i):
-        prod = 1
-        for j, r in enumerate(beta.multiplicities, start=1):
-            if r:
-                prod *= sym_elementary(exps, j) ** r
-        total += signed_multinomial(beta) * prod
-    return total
+    head = tuple(sym_elementary(exps, j) for j in range(1, i + 1))
+    return inverse_series_coeff(head, i)
 
 
 def inverse_series_coeff(head, m):
     """Coefficient m of the inverse of 1 + a_1 t + ... + a_m t^m, closed form.
+
+    The one composition-sum kernel: signed multinomials times the product of
+    a_i**r_i, summed over the composition multisets of weight m.
 
     head is (a_1, ..., a_m); entries beyond index m are ignored by weight.
     Must agree with TruncatedSeries.invert on the padded series; that

@@ -1,13 +1,18 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import torbound.bounds
 from torbound import (
     BoundInput,
     CapacityError,
+    InternalConsistencyError,
     ValidationError,
+    cli,
     deg_abelian_bound,
+    deg_cotangent,
     deg_pex,
     next_prime,
     pex_closed_form_general,
@@ -15,6 +20,7 @@ from torbound import (
     pex_terms,
     threshold_debarre,
     threshold_lemma_p,
+    top_integral,
     torsion_bound,
     verify_slope_chain,
     w_coeff,
@@ -64,6 +70,20 @@ class TestBoundInput:
             BoundInput(3, 2, (1, 1), 0)
         with pytest.raises(ValidationError, match="mode"):
             BoundInput(3, 2, (1, 1), 1, mode="loud")
+
+    def test_shape_integers_are_strict(self):
+        with pytest.raises(ValidationError, match="exponents >= 1"):
+            BoundInput(2, 1, (True,), 1, p=5)
+        with pytest.raises(ValidationError, match="exponents >= 1"):
+            deg_cotangent(2, 1, (True,), 1)
+        with pytest.raises(ValidationError, match="n >= 2"):
+            top_integral(2.5, 1, (1,), 1)
+        with pytest.raises(ValidationError, match="1 <= c <= n-1"):
+            BoundInput(2, True, (1,), 1)
+        with pytest.raises(ValidationError, match="exponents >= 1"):
+            BoundInput(2, 1, (2.0,), 1)
+        with pytest.raises(ValidationError, match="degL >= 1"):
+            deg_cotangent(2, 1, (1,), True)
 
     def test_explicit_p_must_be_admissible_prime(self):
         with pytest.raises(ValidationError, match="prime"):
@@ -191,6 +211,35 @@ class TestTorsionBound:
     def test_requires_bound_input(self):
         with pytest.raises(ValidationError):
             torsion_bound((2, 1, (2,), 1))
+
+
+class TestCrossChecksFire:
+    """Corrupting one route must stop the report with exit code 3."""
+
+    ARGV = ["bound", "--n", "4", "--c", "2", "--e", "2", "--degL", "1"]
+
+    def assert_fires(self, capsys, message):
+        with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+            torsion_bound(BoundInput(4, 2, (2, 2), 1))
+        assert cli.main(self.ARGV) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal consistency failure: ") and message in err
+
+    @pytest.mark.parametrize("convention", ["paper", "dual"])
+    def test_segre_route(self, monkeypatch, capsys, convention):
+        real = torbound.bounds._pex_geometric
+
+        def corrupted(n, c, exponents, d, p, conv):
+            value = real(n, c, exponents, d, p, conv)
+            return value + 1 if conv == convention else value
+
+        monkeypatch.setattr(torbound.bounds, "_pex_geometric", corrupted)
+        self.assert_fires(capsys, f"jet-bundle degree ({convention}) disagrees")
+
+    def test_uniform_route(self, monkeypatch, capsys):
+        real = torbound.bounds.w_coeff
+        monkeypatch.setattr(torbound.bounds, "w_coeff", lambda m, c: real(m, c) + 1)
+        self.assert_fires(capsys, "uniform specialization disagrees")
 
 
 class TestSlopeChain:

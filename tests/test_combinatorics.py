@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torbound import (
+    CapacityError,
     CompositionMultiset,
     TruncatedSeries,
     ValidationError,
-    binomial_product,
     enumerate_compositions,
     inverse_series_coeff,
     signed_multinomial,
@@ -48,15 +48,25 @@ def test_enumeration_weights_and_canonical_order():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValidationError):
+    with pytest.raises(CapacityError):
         enumerate_compositions(65)
     with pytest.raises(ValidationError):
         enumerate_compositions(-1)
+    # the kernel and the coefficients built on it pass the cap error through
+    with pytest.raises(CapacityError):
+        w_coeff(65, 2)
+    with pytest.raises(CapacityError):
+        z_coeff(65, 2, (1, 2))
 
 
 def test_composition_multiset_validation():
     with pytest.raises(ValidationError):
         CompositionMultiset((1, -2))
+    for mults in [(1.7, 2), (True, 0), (1, "2")]:
+        with pytest.raises(ValidationError):
+            CompositionMultiset(mults)
+    with pytest.raises(ValidationError):
+        signed_multinomial((2.0,))
     b = CompositionMultiset((2, 0, 1))
     assert b.weight == 5
     assert b.parts() == [3, 1, 1]
@@ -78,14 +88,6 @@ def test_signed_multinomial_sign_and_magnitude(mults):
     for r in mults:
         expected //= math.factorial(r)
     assert abs(value) == expected
-
-
-def test_binomial_product_examples():
-    assert binomial_product(3, (1,)) == 3
-    assert binomial_product(4, (0, 1)) == 6
-    assert binomial_product(3, (2, 1)) == 27
-    # part size past c collapses the product to zero, not an error
-    assert binomial_product(2, (0, 0, 1)) == 0
 
 
 def test_w_coeff_examples():
