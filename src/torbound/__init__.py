@@ -5,8 +5,10 @@ bounds are verified against."""
 from .bounds import (
     BoundInput,
     BoundReport,
+    BoundShape,
     PexTerm,
     SlopeChainReport,
+    bound_shape,
     deg_abelian_bound,
     deg_pex,
     pex_closed_form_general,
@@ -46,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundInput",
     "BoundReport",
+    "BoundShape",
     "CapacityError",
     "CompositionMultiset",
     "CycleClass",
@@ -59,6 +62,7 @@ __all__ = [
     "ValidationError",
     "WittPair",
     "WittRing",
+    "bound_shape",
     "carry_coefficients",
     "chern_normal",
     "chern_tangent",

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import (
+    _is_int,
     _validate_geometry,
     chern_tangent,
     cotangent_chern,
     deg_cotangent,
-    frobenius_scale,
     top_integral,
 )
 from .combinatorics import inverse_series_coeff, sym_elementary, w_coeff
@@ -85,10 +85,12 @@ def _inverse_table(exps, dim, uniform):
     return tuple(inverse_series_coeff(head[:i], i) for i in range(dim + 1))
 
 
-def _closed_form_rows(n, c, exps, d, p, uniform):
-    # The h-loop of both closed forms: row h, m = n - c - h, has the inner
-    # sum kernel(table[1..m]) and the term binom(2(n-c), h) * (sigma p)**m *
-    # inner * e**(n-h) * d (uniform) or * prod(e_j) * d (general).
+def _closed_form_rows(n, c, exps, d, uniform):
+    # The h-loop of both closed forms, free of p: row h, m = n - c - h, is
+    # (h, binom, inner, coeff) with inner = kernel(table[1..m]) and coeff =
+    # binom(2(n-c), h) * inner * e**(n-h) * d (uniform) or * prod(e_j) * d
+    # (general), the coefficient of (sigma p)**m with sigma = -1 (paper) or
+    # +1 (dual). Returns the rows and the inverse table they were built on.
     dim = n - c
     table = _inverse_table(exps, dim, uniform)
     scale = exps[0] if uniform else 1  # e**(n-h) = e**c * e**m
@@ -98,18 +100,27 @@ def _closed_form_rows(n, c, exps, d, p, uniform):
         m = dim - h
         binom = math.comb(2 * dim, h)
         inner = inverse_series_coeff(table[1 : m + 1], m)
-        base = binom * inner * weight
-        rows.append(PexTerm(h, binom, inner, base * (-p * scale) ** m, base * (p * scale) ** m))
-    return tuple(rows)
+        rows.append((h, binom, inner, binom * inner * weight * scale**m))
+    return tuple(rows), table
+
+
+def _terms(rows, dim, p):
+    # Evaluate p-free rows at p in both conventions.
+    return tuple(
+        PexTerm(h, binom, inner, coeff * (-p) ** (dim - h), coeff * p ** (dim - h))
+        for h, binom, inner, coeff in rows
+    )
 
 
 def pex_closed_form_uniform(n, c, e, d, p, convention):
     """Jet-bundle degree, literal alternating-sum closed form, equal exponents."""
-    exps = _validate_bound_shape(n, c, (e,) * c, d)
+    # a non-int c must reach the validator, not the tuple repetition
+    exps = _validate_bound_shape(n, c, (e,) * c if _is_int(c) else (), d)
     if not is_prime(p):
         raise ValidationError("p must be prime")
     column = _column(convention)
-    return _column_sum(_closed_form_rows(n, c, exps, d, p, True), column)
+    rows, _ = _closed_form_rows(n, c, exps, d, True)
+    return _column_sum(_terms(rows, n - c, p), column)
 
 
 def pex_closed_form_general(n, c, exponents, d, p, convention):
@@ -118,58 +129,73 @@ def pex_closed_form_general(n, c, exponents, d, p, convention):
     if not is_prime(p):
         raise ValidationError("p must be prime")
     column = _column(convention)
-    return _column_sum(_closed_form_rows(n, c, exps, d, p, False), column)
+    rows, _ = _closed_form_rows(n, c, exps, d, False)
+    return _column_sum(_terms(rows, n - c, p), column)
 
 
-def _pex_geometric(n, c, exponents, d, p, convention):
-    # Segre-series route: invert the p-scaled cotangent Chern series (paper)
-    # or its sign-flipped dual, pair against the binomial expansion of the
-    # mixed polarization, integrate.
-    exps = tuple(exponents)
+def _pex_geometric(n, c, exps, d, convention):
+    # Segre-series route as a polynomial in p (entry m is the coefficient of
+    # p**m): invert the cotangent Chern series (paper) or its sign-flipped
+    # dual, pair against the binomial expansion of the mixed polarization,
+    # integrate. Scaling t -> p*t commutes with inversion, so the p-scaled
+    # Segre coefficient m is p**m times the unscaled one.
     dim = n - c
     if convention == "paper":
         base = cotangent_chern(c, exps, dim)
     else:
         base = chern_tangent(c, exps, dim)
-    segre = frobenius_scale(base, p).invert()
+    segre = base.invert()
     ti = top_integral(n, c, exps, d)
-    return sum(
-        math.comb(2 * n - 2 * c, h) * segre.coefficient(dim - h) * ti
-        for h in range(dim + 1)
+    return tuple(
+        math.comb(2 * dim, dim - m) * segre.coefficient(m) * ti
+        for m in range(dim + 1)
     )
+
+
+def _verified_rows(n, c, exps, d):
+    # The general rows, and for constant exponents the uniform rows asserted
+    # against them coefficient by coefficient (the uniform rows are kept).
+    # Then, in both conventions, the closed form and the Segre route are
+    # asserted equal as polynomials in p. Returns the rows and their table.
+    rows, table = _closed_form_rows(n, c, exps, d, False)
+    if len(set(exps)) == 1:
+        uniform, uniform_table = _closed_form_rows(n, c, exps, d, True)
+        for u, g in zip(uniform, rows):
+            if u[3] != g[3]:
+                raise InternalConsistencyError(
+                    f"uniform specialization disagrees at h={u[0]}: "
+                    f"coefficient {u[3]} vs {g[3]}"
+                )
+        rows, table = uniform, uniform_table
+    dim = n - c
+    for convention, sign in zip(CONVENTIONS, (-1, 1)):
+        geometric = _pex_geometric(n, c, exps, d, convention)
+        for m, segre in enumerate(geometric):
+            closed = rows[dim - m][3] * sign**m
+            if closed != segre:
+                raise InternalConsistencyError(
+                    f"jet-bundle degree ({convention}) disagrees at p**{m}: "
+                    f"closed form {closed}, geometric {segre}"
+                )
+    return rows, table
 
 
 def pex_terms(n, c, exponents, d, p):
     """Per-h term table of the jet-bundle degree, verified in both conventions.
 
-    The general closed form is always built. For constant exponent sequences
-    the uniform closed form is built too, asserted against it row by row, and
-    its rows are returned. Then the paper and the dual column sums are each
-    asserted against the Segre-series route. Any disagreement raises
+    The rows are built free of p and verified before they are evaluated at
+    p: the general closed form is always built; for constant exponent
+    sequences the uniform closed form is built too, asserted against it row
+    by row, and its rows are returned. Then the paper and the dual closed
+    forms are each asserted against the Segre-series route as polynomials
+    in p, coefficient by coefficient. Any disagreement raises
     InternalConsistencyError.
     """
     exps = _validate_bound_shape(n, c, exponents, d)
     if not is_prime(p):
         raise ValidationError("p must be prime")
-    rows = _closed_form_rows(n, c, exps, d, p, False)
-    if len(set(exps)) == 1:
-        uniform = _closed_form_rows(n, c, exps, d, p, True)
-        for u, g in zip(uniform, rows):
-            if (u.term_paper, u.term_dual) != (g.term_paper, g.term_dual):
-                raise InternalConsistencyError(
-                    f"uniform specialization disagrees at h={u.h}: "
-                    f"({u.term_paper}, {u.term_dual}) vs ({g.term_paper}, {g.term_dual})"
-                )
-        rows = uniform
-    for convention in CONVENTIONS:
-        total = _column_sum(rows, _column(convention))
-        geometric = _pex_geometric(n, c, exps, d, p, convention)
-        if total != geometric:
-            raise InternalConsistencyError(
-                f"jet-bundle degree ({convention}) disagrees: "
-                f"closed form {total}, geometric {geometric}"
-            )
-    return rows
+    rows, _ = _verified_rows(n, c, exps, d)
+    return _terms(rows, n - c, p)
 
 
 def deg_pex(n, c, exponents, d, p, convention):
@@ -190,6 +216,16 @@ def deg_abelian_bound(n, d, p):
     if not is_prime(p):
         raise ValidationError("p must be prime")
     return p ** (2 * n) * d
+
+
+def _validate_prime(p, threshold):
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValidationError("p must be an int or 'auto'")
+    if not is_prime(p):
+        raise ValidationError("p must be prime")
+    if not p > threshold:
+        raise ValidationError(f"p > threshold violated (threshold {threshold})")
+    return p
 
 
 @dataclass(frozen=True)
@@ -214,13 +250,7 @@ class BoundInput:
         if self.mode not in MODES:
             raise ValidationError("mode must be paper|dual|both")
         if self.p != "auto":
-            if not isinstance(self.p, int) or isinstance(self.p, bool):
-                raise ValidationError("p must be an int or 'auto'")
-            if not is_prime(self.p):
-                raise ValidationError("p must be prime")
-            t = threshold_debarre(self.n, self.c, exps, self.d)
-            if not self.p > t:
-                raise ValidationError(f"p > threshold violated (threshold {t})")
+            _validate_prime(self.p, threshold_debarre(self.n, self.c, exps, self.d))
 
     @property
     def uniform(self):
@@ -250,50 +280,107 @@ class BoundReport:
     flags: frozenset
 
 
-def torsion_bound(inp):
-    """Assemble the torsion-point bound report for a validated input."""
-    if not isinstance(inp, BoundInput):
-        raise ValidationError("expected a BoundInput")
-    n, c, exps, d = inp.n, inp.c, inp.exponents, inp.d
-    threshold = threshold_debarre(n, c, exps, d)
-    if inp.p == "auto":
-        prime_used = next_prime(threshold)
-    else:
-        prime_used = inp.p
+class BoundShape:
+    """Everything in a torsion-bound report that does not depend on p.
+
+    rows[h] is (h, binom, inner, coeff) with term_dual = coeff * p**m and
+    term_paper = coeff * (-p)**m, m = n - c - h: the jet-bundle degree is an
+    integer polynomial in p of degree n - c. bound_shape runs every check
+    once, so a report at any prime is one evaluation of the rows.
+
+    Immutable. A plain slotted class rather than a dataclass, which would
+    generate its methods at import time.
+    """
+
+    __slots__ = ("n", "c", "exponents", "d", "threshold", "deg_cotangent",
+                 "w_table", "rows")
+
+    def __init__(self, n, c, exponents, d, threshold, deg_cotangent, w_table, rows):
+        values = (n, c, exponents, d, threshold, deg_cotangent, w_table, rows)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BoundShape is immutable")
+
+    @property
+    def uniform(self):
+        return len(set(self.exponents)) == 1
+
+    def terms(self, p):
+        """The PexTerm rows at p."""
+        return _terms(self.rows, self.n - self.c, p)
+
+    def report(self, p_request="auto", mode="both"):
+        """The report at p_request: a prime above the threshold, or "auto"."""
+        if mode not in MODES:
+            raise ValidationError("mode must be paper|dual|both")
+        if p_request == "auto":
+            prime_used = next_prime(self.threshold)
+        else:
+            prime_used = _validate_prime(p_request, self.threshold)
+        n, exps, d = self.n, self.exponents, self.d
+        terms = self.terms(prime_used)
+        pex_paper = _column_sum(terms, "term_paper")
+        pex_dual = _column_sum(terms, "term_dual")
+        deg_ab = prime_used ** (2 * n) * d  # deg_abelian_bound; p is checked above
+        bound_paper = deg_ab * pex_paper
+        bound_dual = deg_ab * pex_dual
+        flags = set()
+        if bound_paper <= 0:
+            flags.add(FLAG_PAPER_NONPOSITIVE)
+        if self.uniform:
+            flags.add(FLAG_UNIFORM_CHECKED)
+            if exps[0] <= n:
+                flags.add(FLAG_E_BELOW_SIMPLE)
+        return BoundReport(
+            n=n,
+            c=self.c,
+            exponents=exps,
+            d=d,
+            p_request=p_request,
+            mode=mode,
+            threshold=self.threshold,
+            prime_used=prime_used,
+            deg_cotangent=self.deg_cotangent,
+            w_table=self.w_table,
+            terms=terms,
+            deg_pex_paper=pex_paper,
+            deg_pex_dual=pex_dual,
+            deg_abelian=deg_ab,
+            bound_paper=bound_paper,
+            bound_dual=bound_dual,
+            flags=frozenset(flags),
+        )
+
+
+def bound_shape(n, c, exponents, d):
+    """Build and verify the p-free part of the torsion bound for one shape.
+
+    Runs the cotangent-degree integral check, the uniform specialization
+    check (constant exponents) and, in both conventions, the closed form
+    against the Segre route as polynomials in p, each exactly once.
+    """
+    exps = _validate_bound_shape(n, c, exponents, d)
     deg_cot = deg_cotangent(n, c, exps, d)
-    terms = pex_terms(n, c, exps, d, prime_used)
-    pex_paper = _column_sum(terms, "term_paper")
-    pex_dual = _column_sum(terms, "term_dual")
-    deg_ab = deg_abelian_bound(n, d, prime_used)
-    bound_paper = deg_ab * pex_paper
-    bound_dual = deg_ab * pex_dual
-    w_table = _inverse_table(exps, n - c, inp.uniform)
-    flags = set()
-    if bound_paper <= 0:
-        flags.add(FLAG_PAPER_NONPOSITIVE)
-    if inp.uniform:
-        flags.add(FLAG_UNIFORM_CHECKED)
-        if exps[0] <= n:
-            flags.add(FLAG_E_BELOW_SIMPLE)
-    return BoundReport(
+    rows, w_table = _verified_rows(n, c, exps, d)
+    return BoundShape(
         n=n,
         c=c,
         exponents=exps,
         d=d,
-        p_request=inp.p,
-        mode=inp.mode,
-        threshold=threshold,
-        prime_used=prime_used,
+        threshold=(n - c) ** 2 * deg_cot,  # threshold_debarre, same deg_cot
         deg_cotangent=deg_cot,
         w_table=w_table,
-        terms=terms,
-        deg_pex_paper=pex_paper,
-        deg_pex_dual=pex_dual,
-        deg_abelian=deg_ab,
-        bound_paper=bound_paper,
-        bound_dual=bound_dual,
-        flags=frozenset(flags),
+        rows=rows,
     )
+
+
+def torsion_bound(inp):
+    """Assemble the torsion-point bound report for a validated input."""
+    if not isinstance(inp, BoundInput):
+        raise ValidationError("expected a BoundInput")
+    return bound_shape(inp.n, inp.c, inp.exponents, inp.d).report(inp.p, inp.mode)
 
 
 @dataclass(frozen=True)

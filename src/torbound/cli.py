@@ -12,6 +12,7 @@ import sys
 
 from .bounds import (
     BoundInput,
+    bound_shape,
     threshold_debarre,
     threshold_lemma_p,
     torsion_bound,
@@ -178,12 +179,16 @@ def _cmd_bound(args):
         if lo < 0 or hi < lo:
             raise ValidationError("--sweep-p needs 0 <= FROM <= TO")
         threshold = threshold_debarre(args.n, args.c, exps, args.degL)
-        reports = []
+        primes = []
         p = next_prime(max(lo - 1, threshold))
         while p <= hi:
-            inp = BoundInput(args.n, args.c, exps, args.degL, p=p, mode=args.mode)
-            reports.append(torsion_bound(inp))
+            primes.append(p)
             p = next_prime(p)
+        reports = []
+        if primes:
+            # one verified shape; each prime is one evaluation of its rows
+            shape = bound_shape(args.n, args.c, exps, args.degL)
+            reports = [shape.report(q, args.mode) for q in primes]
         _emit_reports(reports, args.format, sys.stdout)
         return 0
     inp = BoundInput(args.n, args.c, exps, args.degL, p=_parse_p(args.p), mode=args.mode)

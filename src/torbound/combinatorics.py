@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, InternalConsistencyError, ValidationError
 
 # Enumeration is exponential in the weight (partition count); anything past
 # this cap is a sign the caller is misusing a desk-scale tool.
@@ -107,18 +107,28 @@ def w_coeff(m, c):
 
 
 def sym_elementary(values, j):
-    """Elementary symmetric polynomial e_j, by direct monomial enumeration.
+    """Elementary symmetric polynomial e_j, by Newton's identities.
 
-    Returns 0 for j beyond the number of values.
+    k * e_k = sum_{i=1..k} (-1)**(i-1) * e_{k-i} * p_i over the power sums
+    p_i, so e_0..e_j cost O(j * (j + len(values))) products instead of one
+    per monomial. Returns 0 for j beyond the number of values.
     """
     vals = tuple(values)
     if j < 0:
         raise ValidationError("symmetric-function degree must be >= 0")
-    if j == 0:
-        return 1
     if j > len(vals):
         return 0
-    return sum(math.prod(combo) for combo in itertools.combinations(vals, j))
+    power_sums = [None] + [sum(v**i for v in vals) for i in range(1, j + 1)]
+    e = [1]
+    for k in range(1, j + 1):
+        total = sum((-1) ** (i - 1) * e[k - i] * power_sums[i] for i in range(1, k + 1))
+        ek, rem = divmod(total, k)
+        if rem:
+            raise InternalConsistencyError(
+                f"Newton's identity for e_{k} leaves remainder {rem} mod {k}"
+            )
+        e.append(ek)
+    return e[j]
 
 
 def sym_complete(values, i):

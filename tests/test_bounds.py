@@ -10,6 +10,7 @@ from torbound import (
     CapacityError,
     InternalConsistencyError,
     ValidationError,
+    bound_shape,
     cli,
     deg_abelian_bound,
     deg_cotangent,
@@ -116,6 +117,11 @@ class TestDegPex:
                 got = pex_closed_form_uniform(4, 2, e, 3, 7, conv)
                 assert got == pex_closed_form_general(4, 2, (e, e), 3, 7, conv)
                 assert got == deg_pex(4, 2, (e, e), 3, 7, conv)
+
+    def test_uniform_closed_form_rejects_non_int_c_and_e(self):
+        for c, e in [(2.0, 2), (True, 2), (2, 2.0), (2, True)]:
+            with pytest.raises(ValidationError):
+                pex_closed_form_uniform(4, c, e, 1, 7, "paper")
 
     def test_convention_validation(self):
         with pytest.raises(ValidationError):
@@ -229,17 +235,156 @@ class TestCrossChecksFire:
     def test_segre_route(self, monkeypatch, capsys, convention):
         real = torbound.bounds._pex_geometric
 
-        def corrupted(n, c, exponents, d, p, conv):
-            value = real(n, c, exponents, d, p, conv)
-            return value + 1 if conv == convention else value
+        def corrupted(n, c, exponents, d, conv):
+            poly = real(n, c, exponents, d, conv)
+            return (poly[0] + 1,) + poly[1:] if conv == convention else poly
 
         monkeypatch.setattr(torbound.bounds, "_pex_geometric", corrupted)
         self.assert_fires(capsys, f"jet-bundle degree ({convention}) disagrees")
+
+    @pytest.mark.parametrize("convention", ["paper", "dual"])
+    def test_segre_route_checked_coefficientwise(self, monkeypatch, capsys, convention):
+        # Move p0 between the p**0 and p**1 coefficients of the Segre
+        # polynomial: its value at the report's prime p0 stays the same, so
+        # only a coefficient-by-coefficient check can see the corruption.
+        p0 = torsion_bound(BoundInput(4, 2, (2, 2), 1)).prime_used
+        real = torbound.bounds._pex_geometric
+
+        def corrupted(n, c, exponents, d, conv):
+            poly = real(n, c, exponents, d, conv)
+            if conv != convention:
+                return poly
+            return (poly[0] + p0, poly[1] - 1) + poly[2:]
+
+        def value(poly, p):
+            return sum(a * p**m for m, a in enumerate(poly))
+
+        exps = (2, 2)
+        assert value(corrupted(4, 2, exps, 1, convention), p0) == value(
+            real(4, 2, exps, 1, convention), p0
+        )
+        monkeypatch.setattr(torbound.bounds, "_pex_geometric", corrupted)
+        self.assert_fires(capsys, f"jet-bundle degree ({convention}) disagrees at p**0")
 
     def test_uniform_route(self, monkeypatch, capsys):
         real = torbound.bounds.w_coeff
         monkeypatch.setattr(torbound.bounds, "w_coeff", lambda m, c: real(m, c) + 1)
         self.assert_fires(capsys, "uniform specialization disagrees")
+
+    def test_failing_sweep_writes_nothing(self, monkeypatch, capsys):
+        real = torbound.bounds._pex_geometric
+
+        def corrupted(n, c, exponents, d, conv):
+            poly = real(n, c, exponents, d, conv)
+            return (poly[0] + 1,) + poly[1:]
+
+        monkeypatch.setattr(torbound.bounds, "_pex_geometric", corrupted)
+        for fmt in ("csv", "json", "table"):
+            assert cli.main(self.ARGV + ["--sweep-p", "60:200", "--format", fmt]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("internal consistency failure: ")
+
+
+class TestBoundShape:
+    """A shape is built and verified once; each prime is one evaluation."""
+
+    SHAPES = [
+        (4, 2, (2, 2), 1),
+        (4, 2, (2, 3), 2),
+        (6, 3, (1, 1, 1), 2),
+        (6, 3, (1, 2, 1), 1),
+        (5, 3, (3, 3, 3), 2),
+        (7, 4, (2, 1, 3, 1), 1),
+    ]
+
+    @staticmethod
+    def sweep_argv(n, c, exps, d, lo, hi, fmt="csv", mode="both"):
+        return ["bound", "--n", str(n), "--c", str(c),
+                "--e-list", ",".join(map(str, exps)), "--degL", str(d),
+                "--mode", mode, "--format", fmt, "--sweep-p", f"{lo}:{hi}"]
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        calls = []
+        real = cli.bound_shape
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "bound_shape", counted)
+        return calls
+
+    def test_sweep_rows_equal_single_reports(self, capsys):
+        for n, c, exps, d in self.SHAPES:
+            t = threshold_debarre(n, c, exps, d)
+            shape = bound_shape(n, c, exps, d)
+            assert shape.threshold == t
+            primes, p = [], next_prime(t)
+            while len(primes) < 5:
+                primes.append(p)
+                p = next_prime(p)
+            for mode in ("paper", "dual", "both"):
+                assert cli.main(self.sweep_argv(n, c, exps, d, t, primes[-1],
+                                                mode=mode)) == 0
+                lines = capsys.readouterr().out.splitlines()
+                assert lines[0] == ",".join(cli.CSV_COLUMNS)
+                singles = [torsion_bound(BoundInput(n, c, exps, d, p=q, mode=mode))
+                           for q in primes]
+                assert lines[1:] == [cli.report_csv_row(r) for r in singles]
+                assert [shape.report(q, mode) for q in primes] == singles
+
+    def test_k_prime_sweep_builds_the_shape_once(self, monkeypatch, capsys):
+        calls = self.count_builds(monkeypatch)
+        n, c, exps, d = 6, 3, (1, 2, 1), 1
+        t = threshold_debarre(n, c, exps, d)
+        assert cli.main(self.sweep_argv(n, c, exps, d, t, t + 200)) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) > 10
+        assert calls == [(n, c, exps, d)]
+
+    def test_sweep_without_a_prime_builds_nothing(self, monkeypatch, capsys):
+        # a dim-30 shape would take seconds to build; below its threshold
+        # (27000) and between the primes 27017 and 27031 no prime is admissible
+        calls = self.count_builds(monkeypatch)
+        for lo, hi in [(1, 100), (27018, 27030)]:
+            for fmt, expected in [("csv", ",".join(cli.CSV_COLUMNS) + "\n"),
+                                  ("json", ""), ("table", "")]:
+                argv = ["bound", "--n", "60", "--c", "30", "--e", "1", "--degL", "1",
+                        "--format", fmt, "--sweep-p", f"{lo}:{hi}"]
+                assert cli.main(argv) == 0
+                assert capsys.readouterr() == (expected, "")
+        assert calls == []
+
+    def test_capacity_error_in_sweep_writes_nothing(self, monkeypatch, capsys):
+        calls = self.count_builds(monkeypatch)
+        big = 2 * 10**12
+        argv = ["bound", "--n", "2", "--c", "1", "--e", str(big), "--degL", "1",
+                "--format", "csv", "--sweep-p", f"0:{big * big + 100}"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert calls == []
+
+    def test_report_validates_like_bound_input(self):
+        shape = bound_shape(3, 2, (1, 1), 1)
+        with pytest.raises(ValidationError, match="mode"):
+            shape.report(3, "loud")
+        with pytest.raises(ValidationError, match="int or 'auto'"):
+            shape.report(3.0)
+        with pytest.raises(ValidationError, match="prime"):
+            shape.report(4)
+        with pytest.raises(ValidationError, match="threshold"):
+            shape.report(2)
+        assert shape.report() == torsion_bound(BoundInput(3, 2, (1, 1), 1))
+
+    def test_shape_is_frozen_and_p_free(self):
+        shape = bound_shape(4, 2, (2, 3), 1)
+        with pytest.raises(AttributeError):
+            shape.threshold = 0
+        assert shape.w_table == tuple(z_coeff(i, 2, (2, 3)) for i in range(3))
+        for p in (7, 11, 13):
+            assert shape.terms(p) == pex_terms(4, 2, (2, 3), 1, p)
 
 
 class TestSlopeChain:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,21 @@ def test_sym_elementary_values():
     assert sym_elementary((), 0) == 1
     with pytest.raises(ValidationError):
         sym_elementary(vals, -1)
+
+
+def test_sym_elementary_matches_monomial_enumeration():
+    rng = random.Random(7)
+    for _ in range(200):
+        vals = tuple(rng.randint(-6, 9) for _ in range(rng.randint(0, 9)))
+        for j in range(len(vals) + 2):
+            brute = sum(math.prod(combo) for combo in itertools.combinations(vals, j))
+            assert sym_elementary(vals, j) == brute
+
+
+def test_sym_elementary_is_polynomial_in_the_number_of_values():
+    # 2**40 monomials at j = 20; the identities need a few hundred products
+    assert sym_elementary((1,) * 40, 20) == math.comb(40, 20)
+    assert sym_elementary(range(1, 31), 30) == math.factorial(30)
 
 
 def test_sym_complete_values():
