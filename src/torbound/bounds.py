@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import (
-    _is_int,
     _validate_geometry,
     chern_tangent,
     cotangent_chern,
@@ -22,7 +21,7 @@ from .chern import (
     top_integral,
 )
 from .combinatorics import inverse_series_coeff, sym_elementary, w_coeff
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, ValidationError, check_int
 from .primes import is_prime, next_prime
 
 CONVENTIONS = ("paper", "dual")
@@ -38,6 +37,12 @@ def _validate_bound_shape(n, c, exponents, d):
     if 2 * c < n:
         raise ValidationError("2c >= n violated")
     return exps
+
+
+def _check_prime(p):
+    if not is_prime(p):
+        raise ValidationError("p must be prime")
+    return p
 
 
 def _column(convention):
@@ -58,10 +63,8 @@ def threshold_debarre(n, c, exponents, d):
 
 def threshold_lemma_p(n_dim, deg_omega):
     """Prime threshold for the slope argument: dim**2 times the cotangent degree."""
-    if not isinstance(n_dim, int) or n_dim < 1:
-        raise ValidationError("dimension >= 1 violated")
-    if not isinstance(deg_omega, int) or deg_omega < 1:
-        raise ValidationError("cotangent degree >= 1 violated")
+    check_int(n_dim, "dimension >= 1 violated", low=1)
+    check_int(deg_omega, "cotangent degree >= 1 violated", low=1)
     return n_dim**2 * deg_omega
 
 
@@ -114,10 +117,9 @@ def _terms(rows, dim, p):
 
 def pex_closed_form_uniform(n, c, e, d, p, convention):
     """Jet-bundle degree, literal alternating-sum closed form, equal exponents."""
-    # a non-int c must reach the validator, not the tuple repetition
-    exps = _validate_bound_shape(n, c, (e,) * c if _is_int(c) else (), d)
-    if not is_prime(p):
-        raise ValidationError("p must be prime")
+    check_int(c, "1 <= c <= n-1 violated")  # before the tuple repetition
+    exps = _validate_bound_shape(n, c, (e,) * c, d)
+    _check_prime(p)
     column = _column(convention)
     rows, _ = _closed_form_rows(n, c, exps, d, True)
     return _column_sum(_terms(rows, n - c, p), column)
@@ -126,8 +128,7 @@ def pex_closed_form_uniform(n, c, e, d, p, convention):
 def pex_closed_form_general(n, c, exponents, d, p, convention):
     """Jet-bundle degree, closed form for arbitrary exponent sequences."""
     exps = _validate_bound_shape(n, c, exponents, d)
-    if not is_prime(p):
-        raise ValidationError("p must be prime")
+    _check_prime(p)
     column = _column(convention)
     rows, _ = _closed_form_rows(n, c, exps, d, False)
     return _column_sum(_terms(rows, n - c, p), column)
@@ -152,50 +153,16 @@ def _pex_geometric(n, c, exps, d, convention):
     )
 
 
-def _verified_rows(n, c, exps, d):
-    # The general rows, and for constant exponents the uniform rows asserted
-    # against them coefficient by coefficient (the uniform rows are kept).
-    # Then, in both conventions, the closed form and the Segre route are
-    # asserted equal as polynomials in p. Returns the rows and their table.
-    rows, table = _closed_form_rows(n, c, exps, d, False)
-    if len(set(exps)) == 1:
-        uniform, uniform_table = _closed_form_rows(n, c, exps, d, True)
-        for u, g in zip(uniform, rows):
-            if u[3] != g[3]:
-                raise InternalConsistencyError(
-                    f"uniform specialization disagrees at h={u[0]}: "
-                    f"coefficient {u[3]} vs {g[3]}"
-                )
-        rows, table = uniform, uniform_table
-    dim = n - c
-    for convention, sign in zip(CONVENTIONS, (-1, 1)):
-        geometric = _pex_geometric(n, c, exps, d, convention)
-        for m, segre in enumerate(geometric):
-            closed = rows[dim - m][3] * sign**m
-            if closed != segre:
-                raise InternalConsistencyError(
-                    f"jet-bundle degree ({convention}) disagrees at p**{m}: "
-                    f"closed form {closed}, geometric {segre}"
-                )
-    return rows, table
-
-
 def pex_terms(n, c, exponents, d, p):
     """Per-h term table of the jet-bundle degree, verified in both conventions.
 
-    The rows are built free of p and verified before they are evaluated at
-    p: the general closed form is always built; for constant exponent
-    sequences the uniform closed form is built too, asserted against it row
-    by row, and its rows are returned. Then the paper and the dual closed
-    forms are each asserted against the Segre-series route as polynomials
-    in p, coefficient by coefficient. Any disagreement raises
+    The rows of bound_shape evaluated at p: built free of p and verified
+    before they are evaluated (see bound_shape). Any disagreement raises
     InternalConsistencyError.
     """
     exps = _validate_bound_shape(n, c, exponents, d)
-    if not is_prime(p):
-        raise ValidationError("p must be prime")
-    rows, _ = _verified_rows(n, c, exps, d)
-    return _terms(rows, n - c, p)
+    _check_prime(p)
+    return bound_shape(n, c, exps, d).terms(p)
 
 
 def deg_pex(n, c, exponents, d, p, convention):
@@ -209,20 +176,14 @@ def deg_pex(n, c, exponents, d, p, convention):
 
 def deg_abelian_bound(n, d, p):
     """Degree bound for the image of the abelian variety under times-p: p**(2n)*d."""
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("n >= 1 violated")
-    if not isinstance(d, int) or d < 1:
-        raise ValidationError("degL >= 1 violated")
-    if not is_prime(p):
-        raise ValidationError("p must be prime")
-    return p ** (2 * n) * d
+    check_int(n, "n >= 1 violated", low=1)
+    check_int(d, "degL >= 1 violated", low=1)
+    return _check_prime(p) ** (2 * n) * d
 
 
 def _validate_prime(p, threshold):
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValidationError("p must be an int or 'auto'")
-    if not is_prime(p):
-        raise ValidationError("p must be prime")
+    check_int(p, "p must be an int or 'auto'")
+    _check_prime(p)
     if not p > threshold:
         raise ValidationError(f"p > threshold violated (threshold {threshold})")
     return p
@@ -359,11 +320,33 @@ def bound_shape(n, c, exponents, d):
 
     Runs the cotangent-degree integral check, the uniform specialization
     check (constant exponents) and, in both conventions, the closed form
-    against the Segre route as polynomials in p, each exactly once.
+    against the Segre route as polynomials in p, each exactly once. The
+    general closed form is always built; for constant exponent sequences
+    the uniform closed form is built too, asserted against it row by row,
+    and its rows (and w_table) are kept.
     """
     exps = _validate_bound_shape(n, c, exponents, d)
     deg_cot = deg_cotangent(n, c, exps, d)
-    rows, w_table = _verified_rows(n, c, exps, d)
+    rows, w_table = _closed_form_rows(n, c, exps, d, False)
+    if len(set(exps)) == 1:
+        uniform, uniform_table = _closed_form_rows(n, c, exps, d, True)
+        for u, g in zip(uniform, rows):
+            if u[3] != g[3]:
+                raise InternalConsistencyError(
+                    f"uniform specialization disagrees at h={u[0]}: "
+                    f"coefficient {u[3]} vs {g[3]}"
+                )
+        rows, w_table = uniform, uniform_table
+    dim = n - c
+    for convention, sign in zip(CONVENTIONS, (-1, 1)):
+        geometric = _pex_geometric(n, c, exps, d, convention)
+        for m, segre in enumerate(geometric):
+            closed = rows[dim - m][3] * sign**m
+            if closed != segre:
+                raise InternalConsistencyError(
+                    f"jet-bundle degree ({convention}) disagrees at p**{m}: "
+                    f"closed form {closed}, geometric {segre}"
+                )
     return BoundShape(
         n=n,
         c=c,
@@ -414,8 +397,7 @@ def verify_slope_chain(n_dim, deg_omega, p):
     is exact rational.
     """
     threshold = threshold_lemma_p(n_dim, deg_omega)
-    if not is_prime(p):
-        raise ValidationError("p must be prime")
+    _check_prime(p)
     mu_min = Fraction(1, n_dim)
     mu_max = Fraction(deg_omega - 1)
     return SlopeChainReport(

@@ -11,26 +11,19 @@ codimension j.
 import math
 
 from .combinatorics import inverse_series_coeff
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, ValidationError, check_int
 from .series import CycleClass, TruncatedSeries
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _validate_geometry(n, c, exponents, d):
-    if not _is_int(n) or n < 2:
-        raise ValidationError("n >= 2 violated")
-    if not _is_int(c) or not 1 <= c <= n - 1:
-        raise ValidationError("1 <= c <= n-1 violated")
+    check_int(n, "n >= 2 violated", low=2)
+    check_int(c, "1 <= c <= n-1 violated", low=1, high=n - 1)
     exps = tuple(exponents)
     if len(exps) != c:
         raise ValidationError(f"exponents length {len(exps)} != c = {c}")
-    if any(not _is_int(e) or e < 1 for e in exps):
-        raise ValidationError("exponents >= 1 violated")
-    if not _is_int(d) or d < 1:
-        raise ValidationError("degL >= 1 violated")
+    for e in exps:
+        check_int(e, "exponents >= 1 violated", low=1)
+    check_int(d, "degL >= 1 violated", low=1)
     return exps
 
 
@@ -41,16 +34,13 @@ def chern_normal(c, exponents, order):
     elementary symmetric value of the exponents (zero past j = c) without
     calling sym_elementary, which belongs to the closed-form route.
     """
-    if c < 1:
-        raise ValidationError("c must be >= 1")
+    check_int(c, "c must be >= 1", low=1)
     exps = tuple(exponents)
     if len(exps) != c:
         raise ValidationError(f"exponents length {len(exps)} != c = {c}")
-    if any(e < 1 for e in exps):
-        raise ValidationError("exponents >= 1 violated")
-    if order < 0:
-        raise ValidationError("series order must be >= 0")
-    out = TruncatedSeries.one(order)
+    for e in exps:
+        check_int(e, "exponents >= 1 violated", low=1)
+    out = TruncatedSeries.one(order)  # validates the order
     for e in exps:
         out = out * TruncatedSeries((1, e)[: order + 1], order=order)
     return out
@@ -78,8 +68,7 @@ def frobenius_scale(series, p):
     """Pullback along multiplication by p on codimension-j pieces: times p**j."""
     if not isinstance(series, TruncatedSeries):
         raise ValidationError("expected a TruncatedSeries")
-    if not isinstance(p, int) or p < 2:
-        raise ValidationError("scaling prime must be an int >= 2")
+    check_int(p, "scaling prime must be an int >= 2", low=2)
     return series.scale_variable(p)
 
 
@@ -90,8 +79,8 @@ def segre_cotangent(m, c, exponents, order):
     composition sum over the cotangent Chern head. Disagreement is a hard
     error, never reconciled silently.
     """
-    if not 0 <= m <= order:
-        raise ValidationError(f"coefficient index {m} outside [0, {order}]")
+    check_int(order, "series order must be >= 0")
+    check_int(m, f"coefficient index {m} outside [0, {order}]", low=0, high=order)
     comega = cotangent_chern(c, exponents, order)
     by_recurrence = comega.invert().coefficient(m)
     head = tuple(comega.coefficient(j) for j in range(1, m + 1))

@@ -17,8 +17,8 @@ from .bounds import (
     threshold_lemma_p,
     torsion_bound,
 )
-from .combinatorics import w_coeff, z_coeff
-from .errors import InternalConsistencyError, ValidationError
+from .combinatorics import check_weight, w_coeff, z_coeff
+from .errors import InternalConsistencyError, ValidationError, check_int
 from .primes import next_prime
 from .series import TruncatedSeries
 from .witt import FiniteField, WittRing
@@ -213,8 +213,7 @@ def _cmd_threshold(args):
 
 def _cmd_series_invert(args):
     coeffs = _int_list(args.coeffs, "--coeffs")
-    if args.order < 0:
-        raise ValidationError("--order must be >= 0")
+    check_int(args.order, "--order must be >= 0", low=0)
     series = TruncatedSeries(coeffs[: args.order + 1], order=args.order)
     inverse = series.invert()
     print(",".join(str(a) for a in inverse.coefficients))
@@ -222,16 +221,14 @@ def _cmd_series_invert(args):
 
 
 def _cmd_series_wtable(args):
-    if args.max_m < 0:
-        raise ValidationError("--max-m must be >= 0")
+    check_weight(args.max_m, "--max-m must be >= 0")
     print(",".join(str(w_coeff(m, args.c)) for m in range(args.max_m + 1)))
     return 0
 
 
 def _cmd_series_ztable(args):
     exps = _int_list(args.e_list, "--e-list")
-    if args.max_i < 0:
-        raise ValidationError("--max-i must be >= 0")
+    check_weight(args.max_i, "--max-i must be >= 0")
     c = len(exps)
     print(",".join(str(z_coeff(i, c, exps)) for i in range(args.max_i + 1)))
     return 0

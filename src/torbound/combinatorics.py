@@ -11,11 +11,20 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityError, InternalConsistencyError, ValidationError
+from .errors import CapacityError, InternalConsistencyError, ValidationError, check_int
 
 # Enumeration is exponential in the weight (partition count); anything past
 # this cap is a sign the caller is misusing a desk-scale tool.
 MAX_COMPOSITION_WEIGHT = 64
+
+
+def check_weight(m, message):
+    """m as a composition weight: an int >= 0 (else message), at most the cap."""
+    if check_int(m, message, low=0) > MAX_COMPOSITION_WEIGHT:
+        raise CapacityError(
+            f"composition weight cap exceeded ({MAX_COMPOSITION_WEIGHT})"
+        )
+    return m
 
 
 @dataclass(frozen=True)
@@ -26,8 +35,9 @@ class CompositionMultiset:
 
     def __post_init__(self):
         mults = tuple(self.multiplicities)
-        if any(not isinstance(r, int) or isinstance(r, bool) for r in mults):
-            raise ValidationError("multiplicities must be ints")
+        for r in mults:
+            if type(r) is not int:  # exact ints skip the call: runs per enumerated part
+                check_int(r, "multiplicities must be ints")
         if any(r < 0 for r in mults):
             raise ValidationError("multiplicities must be >= 0")
         object.__setattr__(self, "multiplicities", mults)
@@ -61,12 +71,7 @@ def enumerate_compositions(m):
     Order: by decreasing largest part (recursive descent). Each multiset is
     padded to length m. The count equals the number of partitions of m.
     """
-    if m < 0:
-        raise ValidationError("weight must be >= 0")
-    if m > MAX_COMPOSITION_WEIGHT:
-        raise CapacityError(
-            f"composition weight cap exceeded ({MAX_COMPOSITION_WEIGHT})"
-        )
+    check_weight(m, "weight must be >= 0")
     out = []
     for parts in _partitions_desc(m, m):
         mults = [0] * m
@@ -99,11 +104,13 @@ def w_coeff(m, c):
     binom(c, 1..m); sizes past c weigh binom(c, j) = 0. Closed form (test
     identity): (-1)**m * binom(c+m-1, m).
     """
-    if m < 0:
-        raise ValidationError("m must be >= 0")
-    if c < 1:
-        raise ValidationError("c must be >= 1")
+    check_weight(m, "m must be >= 0")
+    check_int(c, "c must be >= 1", low=1)
     return inverse_series_coeff(tuple(math.comb(c, j) for j in range(1, m + 1)), m)
+
+
+def _sym_values(values):
+    return tuple(check_int(v, "symmetric-function values must be ints") for v in values)
 
 
 def sym_elementary(values, j):
@@ -113,9 +120,8 @@ def sym_elementary(values, j):
     p_i, so e_0..e_j cost O(j * (j + len(values))) products instead of one
     per monomial. Returns 0 for j beyond the number of values.
     """
-    vals = tuple(values)
-    if j < 0:
-        raise ValidationError("symmetric-function degree must be >= 0")
+    vals = _sym_values(values)
+    check_int(j, "symmetric-function degree must be >= 0", low=0)
     if j > len(vals):
         return 0
     power_sums = [None] + [sum(v**i for v in vals) for i in range(1, j + 1)]
@@ -133,9 +139,8 @@ def sym_elementary(values, j):
 
 def sym_complete(values, i):
     """Complete homogeneous symmetric polynomial h_i, by monomial enumeration."""
-    vals = tuple(values)
-    if i < 0:
-        raise ValidationError("symmetric-function degree must be >= 0")
+    vals = _sym_values(values)
+    check_int(i, "symmetric-function degree must be >= 0", low=0)
     if i == 0:
         return 1
     if not vals:
@@ -153,10 +158,8 @@ def z_coeff(i, c, exponents):
     e_1..e_i of the exponents, which must have length c. Closed form (test
     identity): (-1)**i * sym_complete(exponents, i).
     """
-    if i < 0:
-        raise ValidationError("i must be >= 0")
-    if c < 1:
-        raise ValidationError("c must be >= 1")
+    check_weight(i, "i must be >= 0")
+    check_int(c, "c must be >= 1", low=1)
     exps = tuple(exponents)
     if len(exps) != c:
         raise ValidationError(f"exponent sequence length {len(exps)} != c = {c}")
@@ -174,8 +177,7 @@ def inverse_series_coeff(head, m):
     Must agree with TruncatedSeries.invert on the padded series; that
     agreement is a standing test, not an assumption.
     """
-    if m < 0:
-        raise ValidationError("m must be >= 0")
+    check_weight(m, "m must be >= 0")
     a = tuple(head)
     if len(a) < m:
         raise ValidationError(f"head too short: need {m} coefficients, got {len(a)}")

@@ -8,7 +8,7 @@ Inputs at or past that limit raise rather than silently degrading to a
 probabilistic answer.
 """
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, check_int
 
 DETERMINISTIC_LIMIT = 3317044064679887385961981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -16,8 +16,8 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n):
     """Deterministic primality for 0 <= n < DETERMINISTIC_LIMIT."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValidationError("primality input must be an int")
+    if type(n) is not int:  # exact ints skip the call: runs per candidate
+        check_int(n, "primality input must be an int")
     if n < 0:
         raise ValidationError("primality input must be >= 0")
     if n >= DETERMINISTIC_LIMIT:
@@ -52,9 +52,7 @@ def is_prime(n):
 
 def next_prime(x):
     """Smallest prime strictly greater than x."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValidationError("next_prime input must be an int")
-    if x < 0:
+    if check_int(x, "next_prime input must be an int") < 0:
         raise ValidationError("next_prime input must be >= 0")
     n = x + 1
     if n <= 2:

@@ -83,6 +83,21 @@ def test_series_ztable(capsys):
     assert out == "1,-3,7\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("series", "wtable", "--c", "2", "--max-m", "65"),
+     "composition weight cap exceeded (64)"),
+    (("series", "ztable", "--e-list", "1,2", "--max-i", "65"),
+     "composition weight cap exceeded (64)"),
+    (("series", "invert", "--coeffs", "1,1", "--order", "4001"),
+     "series order cap exceeded (4000)"),
+    (("witt", "--p", "3001", "--op", "neg", "--a", "1,0"),
+     "carry characteristic cap exceeded (3000)"),
+])
+def test_oversize_input_is_refused_before_work(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_witt_add(capsys):
     code, out, _ = run_cli(capsys, "witt", "--p", "3", "--op", "add",
                            "--a", "1,0", "--b", "2,0")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,10 @@ def test_sym_elementary_values():
     assert sym_elementary((), 0) == 1
     with pytest.raises(ValidationError):
         sym_elementary(vals, -1)
+    # values are exponents: ints only, never InternalConsistencyError
+    for bad in [(Fraction(1, 2), Fraction(1, 3)), (1.5, 2), (True, 2), (1, "2")]:
+        with pytest.raises(ValidationError):
+            sym_elementary(bad, 1)
 
 
 def test_sym_elementary_matches_monomial_enumeration():
@@ -141,6 +146,9 @@ def test_sym_complete_values():
     assert sym_complete((1, 2), 2) == 7
     assert [sym_complete((2,), i) for i in range(4)] == [1, 2, 4, 8]
     assert sym_complete((), 2) == 0
+    for bad in [(Fraction(1, 2), Fraction(1, 3)), (1.5, 2), (True, 2)]:
+        with pytest.raises(ValidationError):
+            sym_complete(bad, 2)
 
 
 def test_z_coeff_example():

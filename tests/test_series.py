@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torbound import CycleClass, TruncatedSeries, ValidationError
+from torbound import (
+    CapacityError,
+    CycleClass,
+    TruncatedSeries,
+    ValidationError,
+    chern_normal,
+)
+from torbound.series import MAX_SERIES_ORDER
 
 
 def test_product_example():
@@ -146,6 +153,21 @@ def test_cycle_mismatched_varieties_rejected():
         a * CycleClass((1, 2), 4)
     with pytest.raises(ValidationError):
         a + CycleClass((1, 2, 3), 3)
+
+
+def test_order_cap_refuses_before_padding():
+    assert TruncatedSeries((1,), order=MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
+    past = MAX_SERIES_ORDER + 1
+    for make in [
+        lambda: TruncatedSeries((1,), order=past),
+        lambda: TruncatedSeries((0,) * (past + 1)),
+        lambda: TruncatedSeries.one(past),
+        lambda: chern_normal(1, (1,), past),
+        lambda: CycleClass((1,), 1, top_codim=past),
+        lambda: CycleClass.divisor_power(0, past, 1),
+    ]:
+        with pytest.raises(CapacityError, match="series order cap exceeded"):
+            make()
 
 
 def test_cycle_divisor_power_bounds():

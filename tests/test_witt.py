@@ -33,6 +33,14 @@ def test_carry_coefficients_reject_composite():
         carry_coefficients(6)
 
 
+def test_carry_characteristic_cap():
+    field = FiniteField(3001)  # the first prime past the cap; fields stay uncapped
+    with pytest.raises(CapacityError, match="carry characteristic cap exceeded"):
+        carry_coefficients(3001)
+    with pytest.raises(CapacityError):
+        WittRing(field)
+
+
 class TestFiniteField:
     def test_prime_field_basics(self):
         f5 = FiniteField(5)
