@@ -10,7 +10,6 @@ both are always reported, never adjudicated.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import (
@@ -21,7 +20,7 @@ from .chern import (
     top_integral,
 )
 from .combinatorics import inverse_series_coeff, sym_elementary, w_coeff
-from .errors import InternalConsistencyError, ValidationError, check_int
+from .errors import Frozen, InternalConsistencyError, ValidationError, check_int
 from .primes import is_prime, next_prime
 
 CONVENTIONS = ("paper", "dual")
@@ -68,15 +67,17 @@ def threshold_lemma_p(n_dim, deg_omega):
     return n_dim**2 * deg_omega
 
 
-@dataclass(frozen=True)
-class PexTerm:
+class PexTerm(Frozen):
     """One h-indexed row of the jet-bundle degree sum, both conventions."""
 
-    h: int
-    binom_coeff: int
-    inner_sum: int
-    term_paper: int
-    term_dual: int
+    __slots__ = ("h", "binom_coeff", "inner_sum", "term_paper", "term_dual")
+
+    def __init__(self, h, binom_coeff, inner_sum, term_paper, term_dual):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "binom_coeff", binom_coeff)
+        object.__setattr__(self, "inner_sum", inner_sum)
+        object.__setattr__(self, "term_paper", term_paper)
+        object.__setattr__(self, "term_dual", term_dual)
 
 
 def _inverse_table(exps, dim, uniform):
@@ -189,8 +190,7 @@ def _validate_prime(p, threshold):
     return p
 
 
-@dataclass(frozen=True)
-class BoundInput:
+class BoundInput(Frozen):
     """Validated input for the torsion bound pipeline.
 
     p is either an explicit prime strictly above the threshold or the string
@@ -198,71 +198,40 @@ class BoundInput:
     equality with a threshold is rejected.
     """
 
-    n: int
-    c: int
-    exponents: tuple
-    d: int
-    p: object = "auto"
-    mode: str = "both"
+    __slots__ = ("n", "c", "exponents", "d", "p", "mode")
 
-    def __post_init__(self):
-        exps = _validate_bound_shape(self.n, self.c, self.exponents, self.d)
-        object.__setattr__(self, "exponents", exps)
-        if self.mode not in MODES:
+    def __init__(self, n, c, exponents, d, p="auto", mode="both"):
+        exps = _validate_bound_shape(n, c, exponents, d)
+        if mode not in MODES:
             raise ValidationError("mode must be paper|dual|both")
-        if self.p != "auto":
-            _validate_prime(self.p, threshold_debarre(self.n, self.c, exps, self.d))
+        if p != "auto":
+            _validate_prime(p, threshold_debarre(n, c, exps, d))
+        super().__init__(n, c, exps, d, p, mode)
 
     @property
     def uniform(self):
         return len(set(self.exponents)) == 1
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     """Full audit trail of one torsion-bound computation."""
 
-    n: int
-    c: int
-    exponents: tuple
-    d: int
-    p_request: object
-    mode: str
-    threshold: int
-    prime_used: int
-    deg_cotangent: int
-    w_table: tuple
-    terms: tuple
-    deg_pex_paper: int
-    deg_pex_dual: int
-    deg_abelian: int
-    bound_paper: int
-    bound_dual: int
-    flags: frozenset
+    __slots__ = ("n", "c", "exponents", "d", "p_request", "mode", "threshold",
+                 "prime_used", "deg_cotangent", "w_table", "terms", "deg_pex_paper",
+                 "deg_pex_dual", "deg_abelian", "bound_paper", "bound_dual", "flags")
 
 
-class BoundShape:
+class BoundShape(Frozen):
     """Everything in a torsion-bound report that does not depend on p.
 
     rows[h] is (h, binom, inner, coeff) with term_dual = coeff * p**m and
     term_paper = coeff * (-p)**m, m = n - c - h: the jet-bundle degree is an
     integer polynomial in p of degree n - c. bound_shape runs every check
     once, so a report at any prime is one evaluation of the rows.
-
-    Immutable. A plain slotted class rather than a dataclass, which would
-    generate its methods at import time.
     """
 
     __slots__ = ("n", "c", "exponents", "d", "threshold", "deg_cotangent",
                  "w_table", "rows")
-
-    def __init__(self, n, c, exponents, d, threshold, deg_cotangent, w_table, rows):
-        values = (n, c, exponents, d, threshold, deg_cotangent, w_table, rows)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoundShape is immutable")
 
     @property
     def uniform(self):
@@ -366,19 +335,11 @@ def torsion_bound(inp):
     return bound_shape(inp.n, inp.c, inp.exponents, inp.d).report(inp.p, inp.mode)
 
 
-@dataclass(frozen=True)
-class SlopeChainReport:
+class SlopeChainReport(Frozen):
     """Exact-rational audit of the slope inequality chain."""
 
-    dim: int
-    deg_omega: int
-    p: int
-    threshold: int
-    mu_min: Fraction
-    mu_max: Fraction
-    above_degree_threshold: bool
-    above_semistable_bound: bool
-    slope_inequality: bool
+    __slots__ = ("dim", "deg_omega", "p", "threshold", "mu_min", "mu_max",
+                 "above_degree_threshold", "above_semistable_bound", "slope_inequality")
 
     @property
     def all_ok(self):

@@ -2,8 +2,9 @@
 
 Subcommands: bound, threshold, series, witt. Reports go to stdout,
 diagnostics to stderr. Exit codes: 0 success, 2 validation failure,
-3 internal consistency failure. All integers are emitted as decimal
-strings and every output is byte-deterministic for a given invocation.
+3 internal consistency failure. All integers are emitted as exact decimal
+strings of any length, and every output is byte-deterministic for a given
+invocation.
 """
 
 import argparse
@@ -331,6 +332,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact integers are printed in full, past CPython's 4300-digit str() limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValidationError as exc:
@@ -339,6 +343,8 @@ def main(argv=None):
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

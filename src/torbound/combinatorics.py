@@ -7,11 +7,9 @@ sequence, yields the coefficients of an inverted power series in closed form
 (inverse_series_coeff); the series module's recurrence is its oracle.
 """
 
-import itertools
 import math
-from dataclasses import dataclass
 
-from .errors import CapacityError, InternalConsistencyError, ValidationError, check_int
+from .errors import CapacityError, Frozen, InternalConsistencyError, ValidationError, check_int
 
 # Enumeration is exponential in the weight (partition count); anything past
 # this cap is a sign the caller is misusing a desk-scale tool.
@@ -27,14 +25,13 @@ def check_weight(m, message):
     return m
 
 
-@dataclass(frozen=True)
-class CompositionMultiset:
+class CompositionMultiset(Frozen):
     """Multiplicity vector of a partition: entry i-1 counts parts of size i."""
 
-    multiplicities: tuple
+    __slots__ = ("multiplicities",)
 
-    def __post_init__(self):
-        mults = tuple(self.multiplicities)
+    def __init__(self, multiplicities):
+        mults = tuple(multiplicities)
         for r in mults:
             if type(r) is not int:  # exact ints skip the call: runs per enumerated part
                 check_int(r, "multiplicities must be ints")
@@ -138,17 +135,23 @@ def sym_elementary(values, j):
 
 
 def sym_complete(values, i):
-    """Complete homogeneous symmetric polynomial h_i, by monomial enumeration."""
+    """Complete homogeneous symmetric polynomial h_i, by the recurrence
+    h_j(x_1..x_k) = h_j(x_1..x_{k-1}) + x_k * h_{j-1}(x_1..x_k).
+
+    O(k * i) products over k values, with no call to the composition kernel,
+    so it stays an independent oracle for z_coeff.
+    """
     vals = _sym_values(values)
     check_int(i, "symmetric-function degree must be >= 0", low=0)
     if i == 0:
         return 1
     if not vals:
         return 0
-    return sum(
-        math.prod(combo)
-        for combo in itertools.combinations_with_replacement(vals, i)
-    )
+    h = [1] + [0] * i  # h_0..h_i of the values seen so far
+    for x in vals:
+        for j in range(1, i + 1):
+            h[j] += x * h[j - 1]
+    return h[i]
 
 
 def z_coeff(i, c, exponents):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one integer rule.
+"""Exception types shared across the package, its one integer rule and its
+one immutable-value base.
 
 Validation failures and internal consistency failures are kept distinct so
 callers (and the CLI exit-code mapping) can tell bad input apart from a bug
@@ -24,6 +25,54 @@ def check_int(value, message, low=None, high=None):
     ):
         raise ValidationError(message)
     return value
+
+
+class Frozen:
+    """The package's immutable-value base: fields are the subclass's __slots__.
+
+    Values compare equal, and hash alike, when they have the same type and the
+    same _key(), which is every field unless a subclass narrows it. The repr
+    names every field. Pickling and copying restore the fields through
+    __setstate__. Subclasses built per arithmetic operation store their
+    fields directly instead of calling the generic __init__.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if len(args) + len(kwargs) != len(fields) or not all(
+            name in kwargs for name in fields[len(args):]
+        ):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name in fields[len(args):]:
+            object.__setattr__(self, name, kwargs[name])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():  # (None, slots) from object.__reduce_ex__
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class CapacityError(ValidationError):

@@ -8,7 +8,7 @@ inverse coefficient elsewhere in the package.
 
 from fractions import Fraction
 
-from .errors import CapacityError, ValidationError, check_int
+from .errors import CapacityError, Frozen, ValidationError, check_int
 
 Scalar = int | Fraction
 
@@ -29,7 +29,7 @@ def _check_order(order, message):
     return order
 
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Formal power series truncated at a fixed order.
 
     Immutable. Operations on series of different orders are errors; nothing
@@ -53,9 +53,6 @@ class TruncatedSeries:
         coeffs = coeffs + (0,) * (order + 1 - len(coeffs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def one(cls, order):
@@ -123,19 +120,11 @@ class TruncatedSeries:
             order=self.order,
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.order, self.coefficients))
-
     def __repr__(self):
         return f"TruncatedSeries({self.coefficients!r})"
 
 
-class CycleClass:
+class CycleClass(Frozen):
     """Polynomial in a fixed ample divisor class, graded by codimension.
 
     Coefficients (g_0, ..., g_m) stand for sum g_k * l^k on a variety of
@@ -159,12 +148,7 @@ class CycleClass:
             )
         coeffs = coeffs + (0,) * (top_codim + 1 - len(coeffs))
         check_int(top_integral, "top integral must be an int")
-        object.__setattr__(self, "top_codim", top_codim)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "top_integral", top_integral)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycleClass is immutable")
+        super().__init__(top_codim, coeffs, top_integral)
 
     @classmethod
     def divisor_power(cls, k, top_codim, top_integral):
@@ -201,18 +185,6 @@ class CycleClass:
     def integrate(self):
         """Degree of the zero-dimensional piece: g_m times the top integral."""
         return self.coefficients[self.top_codim] * self.top_integral
-
-    def __eq__(self, other):
-        if not isinstance(other, CycleClass):
-            return NotImplemented
-        return (
-            self.top_codim == other.top_codim
-            and self.coefficients == other.coefficients
-            and self.top_integral == other.top_integral
-        )
-
-    def __hash__(self):
-        return hash((self.top_codim, self.coefficients, self.top_integral))
 
     def __repr__(self):
         return f"CycleClass({self.coefficients!r}, top_integral={self.top_integral})"

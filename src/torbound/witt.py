@@ -10,7 +10,7 @@ the module's external correctness anchor.
 import itertools
 import math
 
-from .errors import CapacityError, ValidationError, check_int
+from .errors import CapacityError, Frozen, ValidationError, check_int
 from .primes import is_prime
 
 # brute-force irreducibility search is exponential in the extension degree
@@ -73,7 +73,7 @@ def _is_irreducible(modulus, p):
     return True
 
 
-class FiniteField:
+class FiniteField(Frozen):
     """F_{p^f}: the prime field when no modulus is given, else residues
     modulo a caller-supplied monic irreducible polynomial (validated here
     by exhaustive trial division)."""
@@ -83,11 +83,8 @@ class FiniteField:
     def __init__(self, p, modulus=None):
         if not is_prime(p):
             raise ValidationError("field characteristic must be prime")
-        object.__setattr__(self, "p", p)
         if modulus is None:
-            object.__setattr__(self, "degree", 1)
-            object.__setattr__(self, "modulus", None)
-            object.__setattr__(self, "_reduce_tail", None)
+            super().__init__(p, 1, None, None)
             return
         mod = tuple(check_int(x, "modulus entries must be ints") % p for x in modulus)
         if len(mod) < 3:
@@ -96,27 +93,12 @@ class FiniteField:
             raise ValidationError("extension modulus must be monic")
         if not _is_irreducible(mod, p):
             raise ValidationError("extension modulus is reducible")
-        object.__setattr__(self, "degree", len(mod) - 1)
-        object.__setattr__(self, "modulus", mod)
-        # x^f = -(m_0 + m_1 x + ... + m_{f-1} x^{f-1})
-        object.__setattr__(
-            self, "_reduce_tail", tuple((-m) % p for m in mod[:-1])
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteField is immutable")
+        # _reduce_tail: x^f = -(m_0 + m_1 x + ... + m_{f-1} x^{f-1})
+        super().__init__(p, len(mod) - 1, mod, tuple((-m) % p for m in mod[:-1]))
 
     @property
     def order(self):
         return self.p**self.degree
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteField):
-            return NotImplemented
-        return self.p == other.p and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((self.p, self.modulus))
 
     def __repr__(self):
         if self.degree == 1:
@@ -184,7 +166,7 @@ class FiniteField:
         return tuple(x % p for x in prod[:f])
 
 
-class FqElement:
+class FqElement(Frozen):
     """Immutable residue; mixed-field arithmetic is rejected."""
 
     __slots__ = ("field", "coeffs")
@@ -192,9 +174,6 @@ class FqElement:
     def __init__(self, field, coeffs):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FqElement is immutable")
 
     def _match(self, other):
         if not isinstance(other, FqElement):
@@ -252,34 +231,27 @@ class FqElement:
             raise ValidationError("integer lift needs a prime field")
         return self.coeffs[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, FqElement):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
     def __repr__(self):
         if self.field.degree == 1:
             return f"FqElement({self.coeffs[0]} mod {self.field.p})"
         return f"FqElement({self.coeffs!r} over {self.field!r})"
 
 
-class WittRing:
-    """W2 over a fixed finite field; carries are memoized per residue pair."""
+class WittRing(Frozen):
+    """W2 over a fixed finite field; carries are memoized per residue pair.
+
+    Equal rings have equal fields: the memo is a cache, not part of the value.
+    """
 
     __slots__ = ("field", "_carry_coeffs", "_carry_memo")
 
     def __init__(self, field):
         if not isinstance(field, FiniteField):
             raise ValidationError("expected a FiniteField")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_carry_coeffs", carry_coefficients(field.p))
-        object.__setattr__(self, "_carry_memo", {})
+        super().__init__(field, carry_coefficients(field.p), {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WittRing is immutable")
+    def _key(self):
+        return (self.field,)
 
     def element(self, a0, a1):
         return WittPair(self, self.field.element(a0), self.field.element(a1))
@@ -314,19 +286,11 @@ class WittRing:
             got = memo.setdefault(key, -total)
         return got
 
-    def __eq__(self, other):
-        if not isinstance(other, WittRing):
-            return NotImplemented
-        return self.field == other.field
-
-    def __hash__(self):
-        return hash(("WittRing", self.field))
-
     def __repr__(self):
         return f"WittRing({self.field!r})"
 
 
-class WittPair:
+class WittPair(Frozen):
     """One length-2 Witt vector."""
 
     __slots__ = ("ring", "a0", "a1")
@@ -335,9 +299,6 @@ class WittPair:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WittPair is immutable")
 
     def _match(self, other):
         if not isinstance(other, WittPair):
@@ -391,14 +352,6 @@ class WittPair:
         for _ in range(k):
             out = out + self
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, WittPair):
-            return NotImplemented
-        return self.ring == other.ring and (self.a0, self.a1) == (other.a0, other.a1)
-
-    def __hash__(self):
-        return hash((self.ring, self.a0, self.a1))
 
     def __repr__(self):
         return f"WittPair({self.a0!r}, {self.a1!r})"

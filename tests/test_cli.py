@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -68,6 +69,47 @@ def test_series_invert_malformed_coeffs(capsys):
                            "--coeffs", "1,x", "--order", "2")
     assert code == 2
     assert "integer list" in err
+
+
+def exact_digits(n):
+    # str(n) past CPython's 4300-digit limit, which is restored after
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_series_invert_prints_big_integers_exactly(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "series", "invert",
+                             "--coeffs", "1,1000000", "--order", "717")
+    assert (code, err) == (0, "")
+    assert len(exact_digits(10 ** (6 * 717))) > 4300
+    assert out == ",".join(exact_digits((-10**6) ** m) for m in range(718)) + "\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+BIG_P = 10**24 + 7
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_bound_prints_big_integers_exactly(capsys, fmt):
+    # a dim-1 shape: deg_abelian = p**360 has about 8640 digits
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "bound", "--n", "180", "--c", "179", "--e", "1",
+                             "--degL", "1", "--p", str(BIG_P), "--format", fmt)
+    assert (code, err) == (0, "")
+    deg_abelian = exact_digits(BIG_P**360)
+    if fmt == "csv":
+        header, row = out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["deg_abelian"] == deg_abelian
+    elif fmt == "json":
+        assert json.loads(out)["deg_abelian"] == deg_abelian
+    else:
+        assert f"\n  deg_abelian: {deg_abelian}\n" in out
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_series_wtable(capsys):

@@ -151,6 +151,24 @@ def test_sym_complete_values():
             sym_complete(bad, 2)
 
 
+def test_sym_complete_matches_monomial_enumeration():
+    rng = random.Random(11)
+    for k in range(7):
+        for i in range(7):
+            for _ in range(5):
+                vals = tuple(rng.randint(-6, 9) for _ in range(k))
+                brute = sum(
+                    math.prod(combo)
+                    for combo in itertools.combinations_with_replacement(vals, i)
+                )
+                assert sym_complete(vals, i) == brute
+
+
+def test_sym_complete_is_polynomial_in_the_degree():
+    # comb(79, 40) monomials; the recurrence needs 40 * 40 products
+    assert sym_complete((1,) * 40, 40) == math.comb(79, 40)
+
+
 def test_z_coeff_example():
     assert z_coeff(2, 2, (1, 2)) == 7 * (-1) ** 2
     assert z_coeff(2, 2, (1, 2)) == 7
