@@ -40,7 +40,7 @@ from .combinatorics import (
 )
 from .errors import CapacityError, InternalConsistencyError, ValidationError
 from .primes import DETERMINISTIC_LIMIT, is_prime, next_prime
-from .series import CycleClass, TruncatedSeries
+from .series import TruncatedSeries
 from .witt import FiniteField, FqElement, WittPair, WittRing, carry_coefficients
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "BoundShape",
     "CapacityError",
     "CompositionMultiset",
-    "CycleClass",
     "DETERMINISTIC_LIMIT",
     "FiniteField",
     "FqElement",

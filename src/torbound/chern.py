@@ -12,7 +12,7 @@ import math
 
 from .combinatorics import inverse_series_coeff
 from .errors import InternalConsistencyError, ValidationError, check_int
-from .series import CycleClass, TruncatedSeries
+from .series import TruncatedSeries
 
 
 def _validate_geometry(n, c, exponents, d):
@@ -107,18 +107,12 @@ def deg_cotangent(n, c, exponents, d):
     """
     exps = _validate_geometry(n, c, exponents, d)
     closed = sum(exps) * math.prod(exps) * d
-    # independent route: c_1 of the cotangent bundle is (sum e_j) * l
+    # independent route: c_1 of the cotangent bundle times l**(dim-1), read
+    # in codimension dim (every class is a series in l of order dim = n - c)
     dim = n - c
-    ti = top_integral(n, c, exponents, d)
-    c1_mult = cotangent_chern(c, exps, dim).coefficient(1) if dim >= 1 else 0
-    c1_class = CycleClass(
-        tuple(c1_mult if j == 1 else 0 for j in range(dim + 1)),
-        ti,
-        top_codim=dim,
-    )
-    via_integral = (
-        c1_class * CycleClass.divisor_power(dim - 1, dim, ti)
-    ).integrate()
+    c1 = TruncatedSeries((0, cotangent_chern(c, exps, dim).coefficient(1)), order=dim)
+    l_power = TruncatedSeries((0,) * (dim - 1) + (1,), order=dim)
+    via_integral = (c1 * l_power).coefficient(dim) * top_integral(n, c, exps, d)
     if closed != via_integral:
         raise InternalConsistencyError(
             f"cotangent degree disagrees: closed form {closed}, integral {via_integral}"

@@ -8,6 +8,8 @@ invocation.
 """
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 
@@ -19,7 +21,7 @@ from .bounds import (
     torsion_bound,
 )
 from .combinatorics import check_weight, w_coeff, z_coeff
-from .errors import InternalConsistencyError, ValidationError, check_int
+from .errors import CapacityError, InternalConsistencyError, ValidationError, check_int
 from .primes import next_prime
 from .series import TruncatedSeries
 from .witt import FiniteField, WittRing
@@ -38,6 +40,24 @@ CSV_COLUMNS = (
     "bound_dual",
     "flags",
 )
+
+# Every admissible prime in a sweep range is a report row. From p = 31105,
+# the shape (12, 6, (1,2,3,1,2,3), 2) gives 950 rows in 0.1 s at width
+# 10**4, 8,902 rows in 0.9 s at 10**5 and 77,428 rows in 9.8 s at 10**6
+# (2-vCPU Xeon, CPython 3.11, in-process).
+MAX_SWEEP_WIDTH = 10**5
+
+
+@contextlib.contextmanager
+def _exact_digits():
+    """Print exact integers of any length: lift CPython's 4300-digit
+    int-to-str limit for the block, and restore it afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _int_list(text, what):
@@ -58,7 +78,7 @@ def _exponents(args):
 
 
 def _parse_p(text):
-    if text == "auto":
+    if text is None or text == "auto":
         return "auto"
     try:
         return int(text)
@@ -66,6 +86,7 @@ def _parse_p(text):
         raise ValidationError("--p must be an integer or 'auto'") from None
 
 
+@_exact_digits()
 def report_json_dict(report):
     """Report as a dict of decimal strings, fixed key order."""
     return {
@@ -102,6 +123,7 @@ def report_json_line(report):
     return json.dumps(report_json_dict(report), separators=(",", ":"))
 
 
+@_exact_digits()
 def report_csv_row(report):
     values = {
         "n": str(report.n),
@@ -120,6 +142,7 @@ def report_csv_row(report):
     return ",".join(values[col] for col in CSV_COLUMNS)
 
 
+@_exact_digits()
 def report_table(report):
     lines = [
         "torsion bound report",
@@ -170,6 +193,8 @@ def _emit_reports(reports, fmt, out):
 def _cmd_bound(args):
     exps = _exponents(args)
     if args.sweep_p is not None:
+        if args.p is not None:
+            raise ValidationError("give either --p or --sweep-p, not both")
         parts = args.sweep_p.split(":")
         if len(parts) != 2:
             raise ValidationError("--sweep-p must look like FROM:TO")
@@ -179,6 +204,8 @@ def _cmd_bound(args):
             raise ValidationError("--sweep-p bounds must be integers") from None
         if lo < 0 or hi < lo:
             raise ValidationError("--sweep-p needs 0 <= FROM <= TO")
+        if hi - lo > MAX_SWEEP_WIDTH:
+            raise CapacityError(f"sweep range cap exceeded ({MAX_SWEEP_WIDTH})")
         threshold = threshold_debarre(args.n, args.c, exps, args.degL)
         primes = []
         p = next_prime(max(lo - 1, threshold))
@@ -263,6 +290,7 @@ def _cmd_witt(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="torbound",
@@ -279,8 +307,8 @@ def build_parser():
     p_bound.add_argument("--e-list", default=None,
                          help="comma-separated exponent sequence of length c")
     p_bound.add_argument("--degL", type=int, required=True)
-    p_bound.add_argument("--p", default="auto",
-                         help="explicit prime above the threshold, or 'auto'")
+    p_bound.add_argument("--p", default=None,
+                         help="explicit prime above the threshold, or 'auto' (the default)")
     p_bound.add_argument("--mode", choices=["paper", "dual", "both"], default="both")
     p_bound.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p_bound.add_argument("--sweep-p", default=None, metavar="FROM:TO",
@@ -330,21 +358,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # exact integers are printed in full, past CPython's 4300-digit str() limit
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _exact_digits():
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
-"""Truncated formal power series and graded cycle classes, exact arithmetic.
+"""Truncated formal power series, exact arithmetic.
 
 A series of order N is the dense coefficient list (a_0, ..., a_N); all
 operations truncate at N and never leave exact scalars (int or Fraction).
 The inversion recurrence here is the reference oracle for every closed-form
-inverse coefficient elsewhere in the package.
+inverse coefficient elsewhere in the package. A class sum g_k l**k on a
+variety of dimension N, with l a fixed polarization, is a series of order N.
 """
 
 from fractions import Fraction
@@ -23,12 +24,6 @@ def _check_scalar(x):
     return x
 
 
-def _check_order(order, message):
-    if check_int(order, message, low=0) > MAX_SERIES_ORDER:
-        raise CapacityError(f"series order cap exceeded ({MAX_SERIES_ORDER})")
-    return order
-
-
 class TruncatedSeries(Frozen):
     """Formal power series truncated at a fixed order.
 
@@ -44,7 +39,8 @@ class TruncatedSeries(Frozen):
             if not coeffs:
                 raise ValidationError("series needs at least the constant coefficient")
             order = len(coeffs) - 1
-        _check_order(order, "series order must be >= 0")
+        if check_int(order, "series order must be >= 0", low=0) > MAX_SERIES_ORDER:
+            raise CapacityError(f"series order cap exceeded ({MAX_SERIES_ORDER})")
         if len(coeffs) > order + 1:
             raise ValidationError(
                 f"got {len(coeffs)} coefficients for order {order}; refusing to truncate"
@@ -122,69 +118,3 @@ class TruncatedSeries(Frozen):
 
     def __repr__(self):
         return f"TruncatedSeries({self.coefficients!r})"
-
-
-class CycleClass(Frozen):
-    """Polynomial in a fixed ample divisor class, graded by codimension.
-
-    Coefficients (g_0, ..., g_m) stand for sum g_k * l^k on a variety of
-    dimension m, where the top self-intersection number of l is known.
-    Products truncate above codimension m (those pieces integrate to zero
-    against anything of complementary nonnegative degree).
-    """
-
-    __slots__ = ("top_codim", "coefficients", "top_integral")
-
-    def __init__(self, coefficients, top_integral, top_codim=None):
-        coeffs = tuple(_check_scalar(a) for a in coefficients)
-        if top_codim is None:
-            if not coeffs:
-                raise ValidationError("cycle class needs at least the degree-0 piece")
-            top_codim = len(coeffs) - 1
-        _check_order(top_codim, "top codimension must be >= 0")
-        if len(coeffs) > top_codim + 1:
-            raise ValidationError(
-                f"got {len(coeffs)} coefficients for top codimension {top_codim}"
-            )
-        coeffs = coeffs + (0,) * (top_codim + 1 - len(coeffs))
-        check_int(top_integral, "top integral must be an int")
-        super().__init__(top_codim, coeffs, top_integral)
-
-    @classmethod
-    def divisor_power(cls, k, top_codim, top_integral):
-        """The class l^k."""
-        _check_order(top_codim, "top codimension must be >= 0")
-        check_int(k, f"power {k} outside [0, {top_codim}]", low=0, high=top_codim)
-        coeffs = tuple(1 if j == k else 0 for j in range(top_codim + 1))
-        return cls(coeffs, top_integral, top_codim=top_codim)
-
-    def _match(self, other):
-        if not isinstance(other, CycleClass):
-            raise ValidationError("expected a CycleClass operand")
-        if (other.top_codim, other.top_integral) != (self.top_codim, self.top_integral):
-            raise ValidationError("cycle classes live on different varieties")
-        return other
-
-    def __add__(self, other):
-        other = self._match(other)
-        return CycleClass(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-            self.top_integral,
-            top_codim=self.top_codim,
-        )
-
-    def __mul__(self, other):
-        other = self._match(other)
-        m = self.top_codim
-        a, b = self.coefficients, other.coefficients
-        out = []
-        for k in range(m + 1):
-            out.append(sum(a[i] * b[k - i] for i in range(k + 1)))
-        return CycleClass(tuple(out), self.top_integral, top_codim=m)
-
-    def integrate(self):
-        """Degree of the zero-dimensional piece: g_m times the top integral."""
-        return self.coefficients[self.top_codim] * self.top_integral
-
-    def __repr__(self):
-        return f"CycleClass({self.coefficients!r}, top_integral={self.top_integral})"

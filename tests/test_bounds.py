@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 import torbound.bounds
+import torbound.chern
 from torbound import (
     BoundInput,
     CapacityError,
     InternalConsistencyError,
+    TruncatedSeries,
     ValidationError,
     bound_shape,
     cli,
@@ -265,6 +267,19 @@ class TestCrossChecksFire:
         )
         monkeypatch.setattr(torbound.bounds, "_pex_geometric", corrupted)
         self.assert_fires(capsys, f"jet-bundle degree ({convention}) disagrees at p**0")
+
+    def test_cotangent_route(self, monkeypatch, capsys):
+        real = torbound.chern.cotangent_chern
+
+        def corrupted(c, exponents, order):
+            coeffs = list(real(c, exponents, order).coefficients)
+            coeffs[1] += 1
+            return TruncatedSeries(coeffs, order=order)
+
+        monkeypatch.setattr(torbound.chern, "cotangent_chern", corrupted)
+        with pytest.raises(InternalConsistencyError, match="cotangent degree disagrees"):
+            deg_cotangent(4, 2, (2, 2), 1)
+        self.assert_fires(capsys, "cotangent degree disagrees")
 
     def test_uniform_route(self, monkeypatch, capsys):
         real = torbound.bounds.w_coeff

@@ -4,7 +4,15 @@ import sys
 import pytest
 
 from torbound import torsion_bound, BoundInput
-from torbound.cli import CSV_COLUMNS, main, report_json_dict
+from torbound.cli import (
+    CSV_COLUMNS,
+    build_parser,
+    main,
+    report_csv_row,
+    report_json_dict,
+    report_json_line,
+    report_table,
+)
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +120,22 @@ def test_bound_prints_big_integers_exactly(capsys, fmt):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_formatters_print_big_integers_exactly_from_library_code():
+    limit = sys.get_int_max_str_digits()
+    report = torsion_bound(BoundInput(180, 179, (1,) * 179, 1, p=BIG_P))
+    deg_abelian = exact_digits(BIG_P**360)
+    row = dict(zip(CSV_COLUMNS, report_csv_row(report).split(",")))
+    assert row["deg_abelian"] == deg_abelian
+    assert report_json_dict(report)["deg_abelian"] == deg_abelian
+    assert json.loads(report_json_line(report))["deg_abelian"] == deg_abelian
+    assert f"\n  deg_abelian: {deg_abelian}\n" in report_table(report)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_series_wtable(capsys):
     code, out, _ = run_cli(capsys, "series", "wtable", "--c", "3", "--max-m", "3")
     assert code == 0
@@ -134,6 +158,12 @@ def test_series_ztable(capsys):
      "series order cap exceeded (4000)"),
     (("witt", "--p", "3001", "--op", "neg", "--a", "1,0"),
      "carry characteristic cap exceeded (3000)"),
+    (("bound", "--n", "4", "--c", "2", "--e", "1", "--degL", "1",
+      "--sweep-p", "0:1000000000000000000000000000000"),
+     "sweep range cap exceeded (100000)"),
+    (("bound", "--n", "4", "--c", "2", "--e", "30", "--degL", "1",
+      "--sweep-p", "5:100006"),
+     "sweep range cap exceeded (100000)"),
 ])
 def test_oversize_input_is_refused_before_work(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -291,6 +321,20 @@ def test_sweep_bad_range(capsys):
                            "--degL", "1", "--sweep-p", "9:4")
     assert code == 2
     assert "sweep-p" in err
+
+
+def test_sweep_width_at_the_cap_is_accepted(capsys):
+    # threshold 216000 lies above the range, so no prime is reported
+    code, out, err = run_cli(capsys, "bound", "--n", "4", "--c", "2", "--e", "30",
+                             "--degL", "1", "--sweep-p", "5:100005", "--format", "csv")
+    assert (code, out, err) == (0, ",".join(CSV_COLUMNS) + "\n", "")
+
+
+@pytest.mark.parametrize("p", ["7", "auto", "junk"])
+def test_sweep_refuses_an_explicit_p(capsys, p):
+    code, out, err = run_cli(capsys, "bound", "--n", "4", "--c", "2", "--e", "1",
+                             "--degL", "1", "--p", p, "--sweep-p", "5:30")
+    assert (code, out, err) == (2, "", "error: give either --p or --sweep-p, not both\n")
 
 
 def test_json_round_trip_recompute():

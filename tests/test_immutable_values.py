@@ -13,7 +13,6 @@ import torbound
 from torbound import (
     BoundInput,
     CompositionMultiset,
-    CycleClass,
     FiniteField,
     TruncatedSeries,
     WittRing,
@@ -36,7 +35,6 @@ VALUES = {
     "SlopeChainReport": lambda: verify_slope_chain(3, 5, 47),
     "CompositionMultiset": lambda: CompositionMultiset((2, 0, 1)),
     "TruncatedSeries": lambda: TruncatedSeries((1, 2, 3)),
-    "CycleClass": lambda: CycleClass((1, 2, 0), 5),
     "FiniteField": f9,
     "FqElement": lambda: f9().element((1, 2)),
     "WittRing": lambda: WittRing(f9()),

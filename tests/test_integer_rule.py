@@ -48,7 +48,6 @@ PROBES = {
     "sym_elementary((1, 2), 1.0)": lambda: tb.sym_elementary((1, 2), 1.0),
     "z_coeff(True, 2, (1, 2))": lambda: tb.z_coeff(True, 2, (1, 2)),
     "TruncatedSeries((1,), order=2.5)": lambda: tb.TruncatedSeries((1,), order=2.5),
-    "divisor_power(1.0, 2, 3)": lambda: tb.CycleClass.divisor_power(1.0, 2, 3),
     "chern_normal(2, (1, 2), 2.5)": lambda: tb.chern_normal(2, (1, 2), 2.5),
     "segre_cotangent(1.0, 2, (1, 1), 2)": lambda: tb.segre_cotangent(1.0, 2, (1, 1), 2),
     "threshold_lemma_p(True, 5)": lambda: tb.threshold_lemma_p(True, 5),
@@ -118,8 +117,6 @@ ENTRY_POINTS = {
     "next_prime": (tb.next_prime, [X]),
     "TruncatedSeries": (lambda cs, order: tb.TruncatedSeries(cs, order=order), [XS, X]),
     "TruncatedSeries.coefficient": (SERIES.coefficient, [X]),
-    "CycleClass": (lambda cs, ti, top: tb.CycleClass(cs, ti, top_codim=top), [XS, X, X]),
-    "CycleClass.divisor_power": (tb.CycleClass.divisor_power, [X, X, X]),
     "FiniteField": (tb.FiniteField, [X]),
     "FiniteField.modulus": (lambda p, a, b: tb.FiniteField(p, modulus=(a, b, 1)),
                             [X, X, X]),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from torbound import (
     CapacityError,
-    CycleClass,
     TruncatedSeries,
     ValidationError,
     chern_normal,
@@ -134,27 +133,6 @@ def test_rational_mul_div_roundtrip(x, y):
     assert (x * y) / y == x
 
 
-def test_cycle_integrate_examples():
-    assert CycleClass((5, 3), 2).integrate() == 6
-    assert CycleClass((1, 4, -7), 3).integrate() == -21
-    assert CycleClass((0, 0), 5).integrate() == 0
-
-
-def test_cycle_product_truncates_at_top_codim():
-    l = CycleClass.divisor_power(1, 2, 4)
-    assert (l * l).coefficients == (0, 0, 1)
-    # degree-4 piece of l^2 * l^2 falls off the end
-    assert ((l * l) * (l * l)).coefficients == (0, 0, 0)
-
-
-def test_cycle_mismatched_varieties_rejected():
-    a = CycleClass((1, 2), 3)
-    with pytest.raises(ValidationError):
-        a * CycleClass((1, 2), 4)
-    with pytest.raises(ValidationError):
-        a + CycleClass((1, 2, 3), 3)
-
-
 def test_order_cap_refuses_before_padding():
     assert TruncatedSeries((1,), order=MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
     past = MAX_SERIES_ORDER + 1
@@ -163,13 +141,7 @@ def test_order_cap_refuses_before_padding():
         lambda: TruncatedSeries((0,) * (past + 1)),
         lambda: TruncatedSeries.one(past),
         lambda: chern_normal(1, (1,), past),
-        lambda: CycleClass((1,), 1, top_codim=past),
-        lambda: CycleClass.divisor_power(0, past, 1),
     ]:
         with pytest.raises(CapacityError, match="series order cap exceeded"):
             make()
 
-
-def test_cycle_divisor_power_bounds():
-    with pytest.raises(ValidationError):
-        CycleClass.divisor_power(3, 2, 1)
