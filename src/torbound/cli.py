@@ -8,7 +8,6 @@ invocation.
 """
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -21,8 +20,14 @@ from .bounds import (
     torsion_bound,
 )
 from .combinatorics import check_weight, w_coeff, z_coeff
-from .errors import CapacityError, InternalConsistencyError, ValidationError, check_int
-from .primes import next_prime
+from .errors import (
+    CapacityError,
+    InternalConsistencyError,
+    ValidationError,
+    check_int,
+    exact_digits,
+)
+from .primes import is_prime, next_prime
 from .series import TruncatedSeries
 from .witt import FiniteField, WittRing
 
@@ -46,18 +51,6 @@ CSV_COLUMNS = (
 # 10**4, 8,902 rows in 0.9 s at 10**5 and 77,428 rows in 9.8 s at 10**6
 # (2-vCPU Xeon, CPython 3.11, in-process).
 MAX_SWEEP_WIDTH = 10**5
-
-
-@contextlib.contextmanager
-def _exact_digits():
-    """Print exact integers of any length: lift CPython's 4300-digit
-    int-to-str limit for the block, and restore it afterwards."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _int_list(text, what):
@@ -86,7 +79,7 @@ def _parse_p(text):
         raise ValidationError("--p must be an integer or 'auto'") from None
 
 
-@_exact_digits()
+@exact_digits()
 def report_json_dict(report):
     """Report as a dict of decimal strings, fixed key order."""
     return {
@@ -123,7 +116,7 @@ def report_json_line(report):
     return json.dumps(report_json_dict(report), separators=(",", ":"))
 
 
-@_exact_digits()
+@exact_digits()
 def report_csv_row(report):
     values = {
         "n": str(report.n),
@@ -142,7 +135,7 @@ def report_csv_row(report):
     return ",".join(values[col] for col in CSV_COLUMNS)
 
 
-@_exact_digits()
+@exact_digits()
 def report_table(report):
     lines = [
         "torsion bound report",
@@ -206,17 +199,17 @@ def _cmd_bound(args):
             raise ValidationError("--sweep-p needs 0 <= FROM <= TO")
         if hi - lo > MAX_SWEEP_WIDTH:
             raise CapacityError(f"sweep range cap exceeded ({MAX_SWEEP_WIDTH})")
-        threshold = threshold_debarre(args.n, args.c, exps, args.degL)
-        primes = []
-        p = next_prime(max(lo - 1, threshold))
-        while p <= hi:
-            primes.append(p)
-            p = next_prime(p)
-        reports = []
+        # admissible primes lie above the threshold and at most TO; past 2,
+        # only odd candidates are tested, as next_prime does
+        first = max(lo, threshold_debarre(args.n, args.c, exps, args.degL) + 1)
+        primes = [2] if first <= 2 <= hi else []
+        primes += filter(is_prime, range(max(first, 3) | 1, hi + 1, 2))
+        reports = ()
         if primes:
-            # one verified shape; each prime is one evaluation of its rows
+            # one verified shape before the first byte; each prime is one
+            # evaluation of its rows, streamed as it is made
             shape = bound_shape(args.n, args.c, exps, args.degL)
-            reports = [shape.report(q, args.mode) for q in primes]
+            reports = (shape.report(q, args.mode) for q in primes)
         _emit_reports(reports, args.format, sys.stdout)
         return 0
     inp = BoundInput(args.n, args.c, exps, args.degL, p=_parse_p(args.p), mode=args.mode)
@@ -360,7 +353,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        with _exact_digits():
+        with exact_digits():
             return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

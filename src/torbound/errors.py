@@ -1,10 +1,13 @@
-"""Exception types shared across the package, its one integer rule and its
-one immutable-value base.
+"""Exception types shared across the package, its one integer rule, its
+one immutable-value base and its one rule for printing big integers.
 
 Validation failures and internal consistency failures are kept distinct so
 callers (and the CLI exit-code mapping) can tell bad input apart from a bug
 in the arithmetic itself.
 """
+
+import contextlib
+import sys
 
 
 class ValidationError(ValueError):
@@ -27,14 +30,26 @@ def check_int(value, message, low=None, high=None):
     return value
 
 
+@contextlib.contextmanager
+def exact_digits():
+    """Print exact integers of any length: lift CPython's 4300-digit
+    int-to-str limit for the block, and restore it afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class Frozen:
     """The package's immutable-value base: fields are the subclass's __slots__.
 
     Values compare equal, and hash alike, when they have the same type and the
     same _key(), which is every field unless a subclass narrows it. The repr
-    names every field. Pickling and copying restore the fields through
-    __setstate__. Subclasses built per arithmetic operation store their
-    fields directly instead of calling the generic __init__.
+    names every field, integers in exact digits. Pickling and copying restore
+    the fields through __setstate__. Subclasses built per arithmetic operation
+    store their fields directly instead of calling the generic __init__.
     """
 
     __slots__ = ()
@@ -70,6 +85,7 @@ class Frozen:
     def __hash__(self):
         return hash(self._key())
 
+    @exact_digits()
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"

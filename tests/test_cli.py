@@ -1,9 +1,12 @@
+import io
 import json
 import sys
 
 import pytest
 
 from torbound import torsion_bound, BoundInput
+from torbound.bounds import BoundShape
+from torbound.primes import DETERMINISTIC_LIMIT
 from torbound.cli import (
     CSV_COLUMNS,
     build_parser,
@@ -129,6 +132,13 @@ def test_formatters_print_big_integers_exactly_from_library_code():
     assert report_json_dict(report)["deg_abelian"] == deg_abelian
     assert json.loads(report_json_line(report))["deg_abelian"] == deg_abelian
     assert f"\n  deg_abelian: {deg_abelian}\n" in report_table(report)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_report_repr_prints_big_integers_exactly():
+    limit = sys.get_int_max_str_digits()
+    report = torsion_bound(BoundInput(180, 179, (1,) * 179, 1, p=BIG_P))
+    assert f"deg_abelian={exact_digits(BIG_P**360)}," in repr(report)
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -328,6 +338,52 @@ def test_sweep_width_at_the_cap_is_accepted(capsys):
     code, out, err = run_cli(capsys, "bound", "--n", "4", "--c", "2", "--e", "30",
                              "--degL", "1", "--sweep-p", "5:100005", "--format", "csv")
     assert (code, out, err) == (0, ",".join(CSV_COLUMNS) + "\n", "")
+
+
+def test_sweep_below_the_witness_limit_tests_no_candidate_past_to(capsys):
+    # TO = DETERMINISTIC_LIMIT - 1: the five primes are reported, and the
+    # next prime, past the limit, is never searched for
+    code, out, err = run_cli(capsys, "bound", "--n", "2", "--c", "1", "--e", "1",
+                             "--degL", "1", "--format", "csv", "--sweep-p",
+                             f"{DETERMINISTIC_LIMIT - 301}:{DETERMINISTIC_LIMIT - 1}")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS) and len(lines) == 1 + 5
+
+
+def test_sweep_below_a_threshold_past_the_limit_reports_nothing(capsys):
+    # threshold 4 * 10**24 lies past the witness limit and above the range
+    code, out, err = run_cli(capsys, "bound", "--n", "2", "--c", "1",
+                             "--e", "2000000000000", "--degL", "1",
+                             "--format", "csv", "--sweep-p", "1:100")
+    assert (code, out, err) == (0, ",".join(CSV_COLUMNS) + "\n", "")
+
+
+def test_sweep_past_the_limit_names_the_first_odd_candidate(capsys):
+    code, out, err = run_cli(capsys, "bound", "--n", "2", "--c", "1", "--e", "1",
+                             "--degL", "1", "--format", "csv", "--sweep-p",
+                             f"{DETERMINISTIC_LIMIT + 1}:{DETERMINISTIC_LIMIT + 5}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {DETERMINISTIC_LIMIT + 2} is beyond the deterministic "
+                   f"witness range (< {DETERMINISTIC_LIMIT})\n")
+
+
+def test_sweep_streams_rows(monkeypatch):
+    out = io.StringIO()
+    written_before_report = []
+    real = BoundShape.report
+
+    def report(self, *args):
+        written_before_report.append(out.getvalue())
+        return real(self, *args)
+
+    monkeypatch.setattr(BoundShape, "report", report)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["bound", "--n", "2", "--c", "1", "--e", "2", "--degL", "1",
+                 "--sweep-p", "5:12", "--format", "csv"]) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    assert len(lines) == 1 + 3  # 5, 7, 11
+    assert written_before_report[1] == "".join(lines[:2])
 
 
 @pytest.mark.parametrize("p", ["7", "auto", "junk"])

@@ -41,6 +41,32 @@ def test_carry_characteristic_cap():
         WittRing(field)
 
 
+def test_carry_matches_definition():
+    # over F_p, in plain ints: P_p(a, b) = (a^p + b^p - (a+b)^p) / p mod p
+    for p in (2, 3, 5, 7, 11, 13):
+        field = FiniteField(p)
+        ring = WittRing(field)
+        for a in range(p):
+            for b in range(p):
+                expected = ((a**p + b**p - (a + b) ** p) // p) % p
+                assert ring.carry(field.element(a), field.element(b)).lift() == expected
+    # over the extension fields: -sum c_k a^k b^(p-k), written out term by term
+    for p, modulus in ((2, (1, 1, 1)), (3, (2, 2, 1)), (5, (2, 0, 1)), (7, (4, 0, 0, 1))):
+        field = FiniteField(p, modulus)
+        ring = WittRing(field)
+        elems = list(field.elements())
+        if field.order <= 25:
+            pairs = [(a, b) for a in elems for b in elems]
+        else:
+            rng = random.Random(343)
+            pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(300)]
+        for a, b in pairs:
+            expected = field.zero
+            for k, ck in enumerate(carry_coefficients(p), start=1):
+                expected = expected - field.element(ck) * a**k * b ** (p - k)
+            assert ring.carry(a, b) == expected
+
+
 class TestFiniteField:
     def test_prime_field_basics(self):
         f5 = FiniteField(5)
