@@ -11,8 +11,6 @@ from fractions import Fraction
 
 from .errors import CapacityError, Frozen, ValidationError, check_int
 
-Scalar = int | Fraction
-
 # Inversion and products are quadratic in the order: inverting (1, 1) at
 # order 4000 takes about 0.7 s (2-vCPU Xeon, CPython 3.11).
 MAX_SERIES_ORDER = 4000

@@ -7,10 +7,10 @@ For q = p the first ghost component identifies W2(F_p) with Z/p^2; that map
 is the module's external correctness anchor.
 
 A residue of F_q = F_p[x]/(m) is one int in 0..q-1, its index, whose base-p
-digits, lowest first, are its coefficients: the prime field is 0..p-1 in both
-F_p and every extension. Prime fields compute with % p; an extension field
-builds exp, log and Zech-log tables over a primitive element once, so its
-arithmetic is table lookups.
+digits, lowest first, are its coefficients (0..p-1 is the prime field in F_p
+and every extension), and a Witt pair stores the indices of its components.
+Prime fields compute with % p; an extension field builds exp, log and
+Zech-log tables over a primitive element once, so its arithmetic is lookups.
 """
 
 import itertools
@@ -63,7 +63,8 @@ class FiniteField(Frozen):
     """F_{p^f}: the prime field when no modulus is given, else residues
     modulo a caller-supplied monic irreducible polynomial (validated here
     by exhaustive trial division). Fields compare by p and modulus; the
-    tables of an extension field are derived data."""
+    tables of an extension field are derived data, so a pickle or copy
+    carries only (p, modulus) and rebuilds them."""
 
     __slots__ = ("p", "degree", "modulus", "_exp", "_log", "_zech")
 
@@ -90,6 +91,9 @@ class FiniteField(Frozen):
 
     def _key(self):
         return (self.p, self.degree, self.modulus)
+
+    def __reduce__(self):
+        return (FiniteField, (self.p, self.modulus))
 
     @property
     def order(self):
@@ -260,45 +264,44 @@ class WittRing(Frozen):
         return (self.field,)
 
     def element(self, a0, a1):
-        return WittPair(self, self.field.element(a0), self.field.element(a1))
-
-    def _pair(self, i0, i1):
-        return WittPair(self, FqElement(self.field, i0), FqElement(self.field, i1))
+        field = self.field
+        return WittPair(self, field.element(a0).index, field.element(a1).index)
 
     @property
     def zero(self):
-        return self._pair(0, 0)
+        return WittPair(self, 0, 0)
 
     @property
     def one(self):
-        return self._pair(1, 0)
+        return WittPair(self, 1, 0)
 
     def teichmuller(self, a):
         return self.element(a, 0)
 
     def elements(self):
         """All q**2 pairs, lexicographic."""
-        for a0 in self.field.elements():
-            for a1 in self.field.elements():
-                yield WittPair(self, a0, a1)
+        order = [a.index for a in self.field.elements()]
+        return (WittPair(self, i0, i1) for i0 in order for i1 in order)
 
     def carry(self, a0, b0):
-        """P_p(a0, b0) on residue indices (memoized, read-many). With
-        t = a0 / b0, P_p = -b0^p sum_k c_k t^k, and Horner's rule in t takes
-        one field multiplication and one addition per c_k; P_p(a0, 0) = 0."""
-        key = (a0.index, b0.index)
-        got = self._carry_memo.get(key)
+        """P_p(a0, b0) on field elements; see carry_index."""
+        return FqElement(self.field, self.carry_index(a0.index, b0.index))
+
+    def carry_index(self, a, b):
+        """P_p on residue indices (memoized, read-many). With t = a / b,
+        P_p = -b^p sum_k c_k t^k, and Horner's rule in t takes one field
+        multiplication and one addition per c_k; P_p(a, 0) = 0."""
+        got = self._carry_memo.get((a, b))
         if got is None:
-            a, b = key
             field = self.field
-            total = 0
+            got = 0
             if b:
                 add, mul = field._add, field._mul
                 t = mul(a, field._inv(b))
                 for ck in reversed(self._carry_coeffs):
-                    total = add(mul(total, t), ck)
-                total = field._neg(mul(mul(total, t), field._frobenius(b)))
-            got = self._carry_memo.setdefault(key, FqElement(field, total))
+                    got = add(mul(got, t), ck)
+                got = field._neg(mul(mul(got, t), field._frobenius(b)))
+            self._carry_memo[a, b] = got
         return got
 
     def __repr__(self):
@@ -306,14 +309,23 @@ class WittRing(Frozen):
 
 
 class WittPair(Frozen):
-    """One length-2 Witt vector."""
+    """One length-2 Witt vector, stored as the residue indices i0 and i1 of
+    its components; a0 and a1 build the field elements on read."""
 
-    __slots__ = ("ring", "a0", "a1")
+    __slots__ = ("ring", "i0", "i1")
 
-    def __init__(self, ring, a0, a1):
+    def __init__(self, ring, i0, i1):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "i0", i0)
+        object.__setattr__(self, "i1", i1)
+
+    @property
+    def a0(self):
+        return FqElement(self.ring.field, self.i0)
+
+    @property
+    def a1(self):
+        return FqElement(self.ring.field, self.i1)
 
     def _match(self, other):
         if not isinstance(other, WittPair):
@@ -324,23 +336,17 @@ class WittPair(Frozen):
 
     def __add__(self, other):
         other = self._match(other)
-        ring = self.ring
-        add = ring.field._add
-        carry = ring.carry(self.a0, other.a0).index
-        return ring._pair(
-            add(self.a0.index, other.a0.index),
-            add(add(self.a1.index, other.a1.index), carry),
-        )
+        ring, add = self.ring, self.ring.field._add
+        carry = ring.carry_index(self.i0, other.i0)
+        return WittPair(ring, add(self.i0, other.i0), add(add(self.i1, other.i1), carry))
 
     def __neg__(self):
         # solve x + y = 0 with the same universal carry; for odd p the carry
         # term vanishes, for p = 2 it contributes a0**2
-        ring = self.ring
-        field = ring.field
-        m0 = FqElement(field, field._neg(self.a0.index))
-        carry = ring.carry(self.a0, m0).index
-        m1 = field._neg(field._add(self.a1.index, carry))
-        return WittPair(ring, m0, FqElement(field, m1))
+        ring, field = self.ring, self.ring.field
+        m0 = field._neg(self.i0)
+        carry = ring.carry_index(self.i0, m0)
+        return WittPair(ring, m0, field._neg(field._add(self.i1, carry)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -349,23 +355,21 @@ class WittPair(Frozen):
         other = self._match(other)
         field = self.ring.field
         mul, frob = field._mul, field._frobenius
-        a0, a1, b0, b1 = self.a0.index, self.a1.index, other.a0.index, other.a1.index
-        return self.ring._pair(
-            mul(a0, b0),
-            field._add(mul(frob(a0), b1), mul(frob(b0), a1)),
-        )
+        a0, a1, b0, b1 = self.i0, self.i1, other.i0, other.i1
+        return WittPair(self.ring, mul(a0, b0),
+                        field._add(mul(frob(a0), b1), mul(frob(b0), a1)))
 
     def frobenius(self):
         frob = self.ring.field._frobenius
-        return self.ring._pair(frob(self.a0.index), frob(self.a1.index))
+        return WittPair(self.ring, frob(self.i0), frob(self.i1))
 
     def verschiebung(self):
-        return WittPair(self.ring, self.ring.field.zero, self.a0)
+        return WittPair(self.ring, 0, self.i0)
 
     def ghost(self):
         """First ghost component in Z/p^2; prime fields only."""
         p = self.ring.field.p
-        return (self.a0.lift() ** p + p * self.a1.lift()) % p**2
+        return (pow(self.a0.lift(), p, p * p) + p * self.a1.lift()) % (p * p)
 
     def times(self, k):
         """k-fold sum (k >= 0), by doubling and adding: O(log k) additions."""
