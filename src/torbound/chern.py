@@ -30,9 +30,10 @@ def _validate_geometry(n, c, exponents, d):
 def chern_normal(c, exponents, order):
     """Chern series of the normal bundle: product of (1 + e_j t).
 
-    Built by series multiplication, so coefficient j equals the j-th
-    elementary symmetric value of the exponents (zero past j = c) without
-    calling sym_elementary, which belongs to the closed-form route.
+    Multiplies a coefficient list by each factor in place, top degree
+    first, so coefficient j equals the j-th elementary symmetric value of
+    the exponents (zero past j = c) without calling sym_elementary, which
+    belongs to the closed-form route. O(order) products per factor.
     """
     check_int(c, "c must be >= 1", low=1)
     exps = tuple(exponents)
@@ -40,10 +41,11 @@ def chern_normal(c, exponents, order):
         raise ValidationError(f"exponents length {len(exps)} != c = {c}")
     for e in exps:
         check_int(e, "exponents >= 1 violated", low=1)
-    out = TruncatedSeries.one(order)  # validates the order
-    for e in exps:
-        out = out * TruncatedSeries((1, e)[: order + 1], order=order)
-    return out
+    coeffs = list(TruncatedSeries.one(order).coefficients)  # validates the order
+    for k, e in enumerate(exps, start=1):
+        for j in range(min(k, order), 0, -1):
+            coeffs[j] += e * coeffs[j - 1]
+    return TruncatedSeries(coeffs, order=order)
 
 
 def chern_tangent(c, exponents, order):

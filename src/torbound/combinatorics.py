@@ -5,6 +5,9 @@ partition of m has: multiplicities (r_1, r_2, ...) with sum i*r_i = m.
 Summing signed multinomials over all of them, weighted by powers of a head
 sequence, yields the coefficients of an inverted power series in closed form
 (inverse_series_coeff); the series module's recurrence is its oracle.
+That kernel now serves only the series toolkit (w_coeff, z_coeff,
+segre_cotangent) and the tests. The bound's closed form reads the elementary
+and complete symmetric tables instead, which are polynomial in the degree.
 """
 
 import math
@@ -110,20 +113,19 @@ def _sym_values(values):
     return tuple(check_int(v, "symmetric-function values must be ints") for v in values)
 
 
-def sym_elementary(values, j):
-    """Elementary symmetric polynomial e_j, by Newton's identities.
+def sym_elementary_table(values, j):
+    """Elementary symmetric polynomials e_0..e_j, by Newton's identities.
 
     k * e_k = sum_{i=1..k} (-1)**(i-1) * e_{k-i} * p_i over the power sums
-    p_i, so e_0..e_j cost O(j * (j + len(values))) products instead of one
-    per monomial. Returns 0 for j beyond the number of values.
+    p_i, so the table costs O(j * (j + len(values))) products instead of one
+    per monomial. Entries beyond the number of values are 0.
     """
     vals = _sym_values(values)
     check_int(j, "symmetric-function degree must be >= 0", low=0)
-    if j > len(vals):
-        return 0
-    power_sums = [None] + [sum(v**i for v in vals) for i in range(1, j + 1)]
+    top = min(j, len(vals))
+    power_sums = [None] + [sum(v**i for v in vals) for i in range(1, top + 1)]
     e = [1]
-    for k in range(1, j + 1):
+    for k in range(1, top + 1):
         total = sum((-1) ** (i - 1) * e[k - i] * power_sums[i] for i in range(1, k + 1))
         ek, rem = divmod(total, k)
         if rem:
@@ -131,11 +133,16 @@ def sym_elementary(values, j):
                 f"Newton's identity for e_{k} leaves remainder {rem} mod {k}"
             )
         e.append(ek)
-    return e[j]
+    return tuple(e) + (0,) * (j - top)
 
 
-def sym_complete(values, i):
-    """Complete homogeneous symmetric polynomial h_i, by the recurrence
+def sym_elementary(values, j):
+    """Elementary symmetric polynomial e_j: the last entry of its table."""
+    return sym_elementary_table(values, j)[j]
+
+
+def sym_complete_table(values, i):
+    """Complete homogeneous symmetric polynomials h_0..h_i, by the recurrence
     h_j(x_1..x_k) = h_j(x_1..x_{k-1}) + x_k * h_{j-1}(x_1..x_k).
 
     O(k * i) products over k values, with no call to the composition kernel,
@@ -143,15 +150,16 @@ def sym_complete(values, i):
     """
     vals = _sym_values(values)
     check_int(i, "symmetric-function degree must be >= 0", low=0)
-    if i == 0:
-        return 1
-    if not vals:
-        return 0
     h = [1] + [0] * i  # h_0..h_i of the values seen so far
     for x in vals:
         for j in range(1, i + 1):
             h[j] += x * h[j - 1]
-    return h[i]
+    return tuple(h)
+
+
+def sym_complete(values, i):
+    """Complete homogeneous symmetric polynomial h_i: the last entry of its table."""
+    return sym_complete_table(values, i)[i]
 
 
 def z_coeff(i, c, exponents):

@@ -63,8 +63,9 @@ class FiniteField(Frozen):
     """F_{p^f}: the prime field when no modulus is given, else residues
     modulo a caller-supplied monic irreducible polynomial (validated here
     by exhaustive trial division). Fields compare by p and modulus; the
-    tables of an extension field are derived data, so a pickle or copy
-    carries only (p, modulus) and rebuilds them."""
+    tables of an extension field are derived data, so a pickle or deep copy
+    carries only (p, modulus) and rebuilds them; a shallow copy is the
+    field itself."""
 
     __slots__ = ("p", "degree", "modulus", "_exp", "_log", "_zech")
 
@@ -94,6 +95,9 @@ class FiniteField(Frozen):
 
     def __reduce__(self):
         return (FiniteField, (self.p, self.modulus))
+
+    def __copy__(self):
+        return self
 
     @property
     def order(self):

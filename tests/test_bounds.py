@@ -1,5 +1,7 @@
+import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from torbound import (
     deg_abelian_bound,
     deg_cotangent,
     deg_pex,
+    inverse_series_coeff,
     next_prime,
     pex_closed_form_general,
     pex_closed_form_uniform,
@@ -282,9 +285,28 @@ class TestCrossChecksFire:
         self.assert_fires(capsys, "cotangent degree disagrees")
 
     def test_uniform_route(self, monkeypatch, capsys):
-        real = torbound.bounds.w_coeff
-        monkeypatch.setattr(torbound.bounds, "w_coeff", lambda m, c: real(m, c) + 1)
+        real = torbound.bounds._closed_form_rows
+
+        def corrupted(n, c, exps, d, uniform):
+            rows, table = real(n, c, exps, d, uniform)
+            if uniform:
+                h, binom, inner, coeff = rows[0]
+                rows = ((h, binom, inner, coeff + 1),) + rows[1:]
+            return rows, table
+
+        monkeypatch.setattr(torbound.bounds, "_closed_form_rows", corrupted)
         self.assert_fires(capsys, "uniform specialization disagrees")
+
+    def test_w_table(self, monkeypatch, capsys):
+        # the rows stay intact, so only the w_table check can see it
+        real = torbound.bounds._closed_form_rows
+
+        def corrupted(n, c, exps, d, uniform):
+            rows, table = real(n, c, exps, d, uniform)
+            return rows, table[:1] + (table[1] + 1,) + table[2:]
+
+        monkeypatch.setattr(torbound.bounds, "_closed_form_rows", corrupted)
+        self.assert_fires(capsys, "w_table disagrees at t**1")
 
     def test_failing_sweep_writes_nothing(self, monkeypatch, capsys):
         real = torbound.bounds._pex_geometric
@@ -400,6 +422,95 @@ class TestBoundShape:
         assert shape.w_table == tuple(z_coeff(i, 2, (2, 3)) for i in range(3))
         for p in (7, 11, 13):
             assert shape.terms(p) == pex_terms(4, 2, (2, 3), 1, p)
+
+
+def literal_rows(n, c, exps, d, uniform):
+    # the closed form as the double composition sum: w_table from the kernel
+    # (w_coeff or z_coeff), each inner the kernel over w_table[1..m]
+    dim = n - c
+    if uniform:
+        table = tuple(w_coeff(i, c) for i in range(dim + 1))
+    else:
+        table = tuple(z_coeff(i, c, exps) for i in range(dim + 1))
+    scale = exps[0] if uniform else 1
+    rows = []
+    for h in range(dim + 1):
+        m = dim - h
+        binom = math.comb(2 * dim, h)
+        inner = inverse_series_coeff(table[1 : m + 1], m)
+        rows.append((h, binom, inner, binom * inner * math.prod(exps) * d * scale**m))
+    return tuple(rows), table
+
+
+class TestClosedFormIsTheDoubleInversion:
+    """Rows and w_table equal the literal double composition sum they replace."""
+
+    def test_uniform_shapes(self):
+        for dim in range(1, 11):
+            for c in range(dim, 11):
+                for e, d in [(1, 1), (2, 3), (5, 1)]:
+                    exps = (e,) * c
+                    expected = literal_rows(dim + c, c, exps, d, True)
+                    got = torbound.bounds._closed_form_rows(dim + c, c, exps, d, True)
+                    assert got == expected
+                    shape = bound_shape(dim + c, c, exps, d)
+                    assert (shape.rows, shape.w_table) == expected
+
+    def test_general_shapes(self):
+        rng = random.Random(11)
+        for _ in range(80):
+            dim = rng.randint(1, 10)
+            c = rng.randint(dim, dim + 3)
+            exps = tuple(rng.randint(1, 5) for _ in range(c))
+            d = rng.randint(1, 3)
+            expected = literal_rows(dim + c, c, exps, d, False)
+            assert torbound.bounds._closed_form_rows(dim + c, c, exps, d, False) == expected
+            if len(set(exps)) > 1:
+                shape = bound_shape(dim + c, c, exps, d)
+                assert (shape.rows, shape.w_table) == expected
+
+
+class TestRefusalsComeFirst:
+    """Input the bound cannot handle is refused before any shape work."""
+
+    @staticmethod
+    def record(monkeypatch, name):
+        calls = []
+        real = getattr(torbound.bounds, name)
+
+        def recorded(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(torbound.bounds, name, recorded)
+        return calls
+
+    def test_dimension_cap(self, monkeypatch, capsys):
+        calls = self.record(monkeypatch, "deg_cotangent")
+        c = torbound.bounds.MAX_BOUND_DIMENSION + 1
+        message = f"bound dimension cap exceeded ({c - 1})"
+        start = time.perf_counter()
+        for make in [
+            lambda: bound_shape(2 * c, c, (1,) * c, 1),
+            lambda: threshold_debarre(2 * c, c, (1,) * c, 1),
+            lambda: BoundInput(2 * c, c, (1,) * c, 1),
+            lambda: pex_terms(2 * c, c, (1,) * c, 1, 3),
+        ]:
+            with pytest.raises(CapacityError, match=re.escape(message)):
+                make()
+        assert time.perf_counter() - start < 0.5
+        assert calls == []
+        argv = ["bound", "--n", str(2 * c), "--c", str(c), "--e", "1", "--degL", "1"]
+        for extra in ([], ["--sweep-p", "1:100"]):
+            assert cli.main(argv + extra) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_auto_prime_refused_before_the_shape(self, monkeypatch):
+        # the threshold, 2**114, is past the deterministic witness range
+        calls = self.record(monkeypatch, "bound_shape")
+        with pytest.raises(CapacityError, match="deterministic witness range"):
+            torsion_bound(BoundInput(64, 32, (8,) * 32, 1))
+        assert calls == []
 
 
 class TestSlopeChain:

@@ -25,6 +25,18 @@ def test_chern_normal_is_elementary_symmetric():
         assert s.coefficient(j) == sym_elementary((1, 2, 4), j)
 
 
+def test_chern_normal_equals_the_product_of_factor_series():
+    rng = random.Random(8)
+    for _ in range(60):
+        c = rng.randint(1, 8)
+        exps = tuple(rng.randint(1, 9) for _ in range(c))
+        order = rng.randint(0, 10)
+        product = TruncatedSeries.one(order)
+        for e in exps:
+            product = product * TruncatedSeries((1, e)[: order + 1], order=order)
+        assert chern_normal(c, exps, order) == product
+
+
 def test_chern_normal_times_tangent_is_one():
     for exps in [(2,), (1, 1), (3, 5), (2, 3, 4)]:
         c = len(exps)

@@ -20,6 +20,7 @@ from torbound import (
     w_coeff,
     z_coeff,
 )
+from torbound.combinatorics import sym_complete_table, sym_elementary_table
 
 
 def partition_count(m):
@@ -230,3 +231,18 @@ def test_double_inversion_over_z_sequence():
         for m in range(0, 9):
             head = tuple(z_coeff(i, c, exps) for i in range(1, m + 1))
             assert inverse_series_coeff(head, m) == sym_elementary(exps, m)
+
+
+def test_symmetric_tables_end_in_the_single_values():
+    rng = random.Random(5)
+    for _ in range(40):
+        vals = tuple(rng.randint(-4, 6) for _ in range(rng.randint(0, 6)))
+        top = rng.randint(0, 9)
+        e_table = sym_elementary_table(vals, top)
+        h_table = sym_complete_table(vals, top)
+        assert len(e_table) == len(h_table) == top + 1
+        assert e_table == tuple(sym_elementary(vals, j) for j in range(top + 1))
+        assert h_table == tuple(sym_complete(vals, i) for i in range(top + 1))
+        # E(t) * H(-t) = 1
+        for k in range(1, top + 1):
+            assert sum((-1) ** i * h_table[i] * e_table[k - i] for i in range(k + 1)) == 0

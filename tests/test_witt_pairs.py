@@ -3,7 +3,8 @@
 Pair arithmetic works on those ints alone and builds no field element;
 `a0` and `a1` build the `FqElement` on read, so reprs, equality and the
 outside view are those of a pair of field elements. A field pickles as its
-definition, and the ghost map reduces modulo p^2 as it goes.
+definition, a shallow copy of a field is the field itself, and the ghost
+map reduces modulo p^2 as it goes.
 """
 
 import copy
@@ -95,3 +96,10 @@ def test_extension_field_pickles_as_its_definition():
         assert twin is not field
         assert twin == field and hash(twin) == hash(field)
         assert twin._exp == field._exp
+
+
+def test_a_shallow_copy_of_a_field_is_the_field():
+    for field in (FiniteField(*F9), FiniteField(101)):
+        assert copy.copy(field) is field
+        twin = copy.deepcopy(field)
+        assert twin == field and hash(twin) == hash(field)
