@@ -17,13 +17,7 @@ toolkit and the tests.
 import math
 from fractions import Fraction
 
-from .chern import (
-    _validate_geometry,
-    chern_tangent,
-    cotangent_chern,
-    deg_cotangent,
-    top_integral,
-)
+from .chern import _validate_geometry, chern_tangent, deg_cotangent, top_integral
 from .combinatorics import sym_complete_table, sym_elementary_table
 from .errors import CapacityError, Frozen, InternalConsistencyError, ValidationError, check_int
 from .primes import is_prime, next_prime
@@ -36,17 +30,28 @@ FLAG_E_BELOW_SIMPLE = "e_below_simple_threshold"
 FLAG_UNIFORM_CHECKED = "uniform_specialization_checked"
 
 # Shape work is polynomial in n - c, led by the Segre route's quadratic
-# series inversions: bound_shape(2k, k, (e,)*k, 1) takes 0.76 s at k = 512
-# with e = 1 and 1.06 s with e = 2 (2-vCPU Xeon, CPython 3.11).
+# series inversions: bound_shape(2k, k, (e,)*k, 1) takes 0.46 s at k = 512
+# with e = 1 and 0.72 s with e = 2 (2-vCPU Xeon, CPython 3.11).
 MAX_BOUND_DIMENSION = 512
+# Cost also grows with the exponents' size: a shape's series hold n - c + 1
+# integers of up to about B = (n - c) * max(bits) + sum(bits) bits, bits
+# being the exponents' bit lengths. The cap bounds (n - c + 1) * B; at
+# n - c = c = 512 it admits e <= 3 (1.0 s at e = 3). Worst admitted case
+# measured: bound_shape(525312, 525311, (1,)*525311, 1), 2.3 s, most of it
+# checking each exponent (same machine).
+MAX_BOUND_BITS = 513 * 2048
 
 
 def _validate_bound_shape(n, c, exponents, d):
     exps = _validate_geometry(n, c, exponents, d)
     if 2 * c < n:
         raise ValidationError("2c >= n violated")
-    if n - c > MAX_BOUND_DIMENSION:
+    dim = n - c
+    if dim > MAX_BOUND_DIMENSION:
         raise CapacityError(f"bound dimension cap exceeded ({MAX_BOUND_DIMENSION})")
+    bits = [e.bit_length() for e in exps]
+    if (dim + 1) * (dim * max(bits) + sum(bits)) > MAX_BOUND_BITS:
+        raise CapacityError(f"bound size cap exceeded ({MAX_BOUND_BITS})")
     return exps
 
 
@@ -144,19 +149,16 @@ def pex_closed_form_general(n, c, exponents, d, p, convention):
     return _column_sum(_terms(rows, n - c, p), column)
 
 
-def _pex_geometric(n, c, exps, d, convention):
+def _pex_geometric(tangent, ti, convention):
     # Segre-series route as a polynomial in p (entry m is the coefficient of
-    # p**m): invert the cotangent Chern series (paper) or its sign-flipped
-    # dual, pair against the binomial expansion of the mixed polarization,
-    # integrate. Scaling t -> p*t commutes with inversion, so the p-scaled
+    # p**m): invert the cotangent Chern series, the tangent one at t -> -t
+    # (paper), or the tangent one itself (dual), pair against the binomial
+    # expansion of the mixed polarization, integrate (ti is the top
+    # integral). Scaling t -> p*t commutes with inversion, so the p-scaled
     # Segre coefficient m is p**m times the unscaled one.
-    dim = n - c
-    if convention == "paper":
-        base = cotangent_chern(c, exps, dim)
-    else:
-        base = chern_tangent(c, exps, dim)
+    dim = tangent.order
+    base = tangent.scale_variable(-1) if convention == "paper" else tangent
     segre = base.invert()
-    ti = top_integral(n, c, exps, d)
     return tuple(
         math.comb(2 * dim, dim - m) * segre.coefficient(m) * ti
         for m in range(dim + 1)
@@ -323,15 +325,16 @@ def bound_shape(n, c, exponents, d):
         # the uniform table inverts (1+t)**c; t -> e*t gives prod(1 + e t)
         rows, w_table, scale = uniform, uniform_table, exps[0]
     dim = n - c
-    tangent = chern_tangent(c, exps, dim).coefficients
-    for i, (w, t) in enumerate(zip(w_table, tangent)):
+    tangent = chern_tangent(c, exps, dim)  # one series for every check below
+    for i, (w, t) in enumerate(zip(w_table, tangent.coefficients)):
         if w * scale**i != t:
             raise InternalConsistencyError(
                 f"w_table disagrees at t**{i}: closed form {w * scale**i}, "
                 f"tangent series {t}"
             )
+    ti = top_integral(n, c, exps, d)
     for convention, sign in zip(CONVENTIONS, (-1, 1)):
-        geometric = _pex_geometric(n, c, exps, d, convention)
+        geometric = _pex_geometric(tangent, ti, convention)
         for m, segre in enumerate(geometric):
             closed = rows[dim - m][3] * sign**m
             if closed != segre:

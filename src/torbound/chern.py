@@ -58,12 +58,8 @@ def chern_tangent(c, exponents, order):
 
 
 def cotangent_chern(c, exponents, order):
-    """Chern series of the cotangent bundle: alternate signs of the tangent one."""
-    tangent = chern_tangent(c, exponents, order)
-    return TruncatedSeries(
-        tuple((-1) ** j * a for j, a in enumerate(tangent.coefficients)),
-        order=order,
-    )
+    """Chern series of the cotangent bundle: the tangent one at t -> -t."""
+    return chern_tangent(c, exponents, order).scale_variable(-1)
 
 
 def frobenius_scale(series, p):
@@ -105,16 +101,13 @@ def deg_cotangent(n, c, exponents, d):
     """Degree of the cotangent bundle of X against l.
 
     Closed form (sum of exponents) * (product of exponents) * d, cross-checked
-    against integrating the first cotangent Chern class times l**(n-c-1).
+    against integrating the first cotangent Chern class times l**(n-c-1):
+    c_1 is read from the cotangent series at order 1, since no higher class
+    enters, and c_1 * l**(n-c-1) is c_1 times the top class l**(n-c).
     """
     exps = _validate_geometry(n, c, exponents, d)
     closed = sum(exps) * math.prod(exps) * d
-    # independent route: c_1 of the cotangent bundle times l**(dim-1), read
-    # in codimension dim (every class is a series in l of order dim = n - c)
-    dim = n - c
-    c1 = TruncatedSeries((0, cotangent_chern(c, exps, dim).coefficient(1)), order=dim)
-    l_power = TruncatedSeries((0,) * (dim - 1) + (1,), order=dim)
-    via_integral = (c1 * l_power).coefficient(dim) * top_integral(n, c, exps, d)
+    via_integral = cotangent_chern(c, exps, 1).coefficient(1) * top_integral(n, c, exps, d)
     if closed != via_integral:
         raise InternalConsistencyError(
             f"cotangent degree disagrees: closed form {closed}, integral {via_integral}"

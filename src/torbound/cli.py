@@ -2,7 +2,9 @@
 
 Subcommands: bound, threshold, series, witt. Reports go to stdout,
 diagnostics to stderr. Exit codes: 0 success, 2 validation failure,
-3 internal consistency failure. All integers are emitted as exact decimal
+3 internal consistency failure, 141 stdout closed by its reader before the
+output was complete (128 + SIGPIPE, as a shell reports a process that
+SIGPIPE ended; nothing is printed). All integers are emitted as exact decimal
 strings of any length, and every output is byte-deterministic for a given
 invocation.
 """
@@ -10,6 +12,7 @@ invocation.
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .bounds import (
@@ -45,6 +48,8 @@ CSV_COLUMNS = (
     "bound_dual",
     "flags",
 )
+
+EXIT_BROKEN_PIPE = 141
 
 # Every admissible prime in a sweep range is a report row. From p = 31105,
 # the shape (12, 6, (1,2,3,1,2,3), 2) gives 950 rows in 0.1 s at width
@@ -354,7 +359,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         with exact_digits():
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`): point stdout at devnull so
+        # the flush at exit cannot fail again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -240,8 +240,8 @@ class TestCrossChecksFire:
     def test_segre_route(self, monkeypatch, capsys, convention):
         real = torbound.bounds._pex_geometric
 
-        def corrupted(n, c, exponents, d, conv):
-            poly = real(n, c, exponents, d, conv)
+        def corrupted(tangent, ti, conv):
+            poly = real(tangent, ti, conv)
             return (poly[0] + 1,) + poly[1:] if conv == convention else poly
 
         monkeypatch.setattr(torbound.bounds, "_pex_geometric", corrupted)
@@ -255,8 +255,8 @@ class TestCrossChecksFire:
         p0 = torsion_bound(BoundInput(4, 2, (2, 2), 1)).prime_used
         real = torbound.bounds._pex_geometric
 
-        def corrupted(n, c, exponents, d, conv):
-            poly = real(n, c, exponents, d, conv)
+        def corrupted(tangent, ti, conv):
+            poly = real(tangent, ti, conv)
             if conv != convention:
                 return poly
             return (poly[0] + p0, poly[1] - 1) + poly[2:]
@@ -264,10 +264,9 @@ class TestCrossChecksFire:
         def value(poly, p):
             return sum(a * p**m for m, a in enumerate(poly))
 
-        exps = (2, 2)
-        assert value(corrupted(4, 2, exps, 1, convention), p0) == value(
-            real(4, 2, exps, 1, convention), p0
-        )
+        tangent = torbound.chern.chern_tangent(2, (2, 2), 2)
+        hook_args = (tangent, torbound.chern.top_integral(4, 2, (2, 2), 1), convention)
+        assert value(corrupted(*hook_args), p0) == value(real(*hook_args), p0)
         monkeypatch.setattr(torbound.bounds, "_pex_geometric", corrupted)
         self.assert_fires(capsys, f"jet-bundle degree ({convention}) disagrees at p**0")
 
@@ -311,8 +310,8 @@ class TestCrossChecksFire:
     def test_failing_sweep_writes_nothing(self, monkeypatch, capsys):
         real = torbound.bounds._pex_geometric
 
-        def corrupted(n, c, exponents, d, conv):
-            poly = real(n, c, exponents, d, conv)
+        def corrupted(tangent, ti, conv):
+            poly = real(tangent, ti, conv)
             return (poly[0] + 1,) + poly[1:]
 
         monkeypatch.setattr(torbound.bounds, "_pex_geometric", corrupted)
@@ -381,8 +380,9 @@ class TestBoundShape:
         assert calls == [(n, c, exps, d)]
 
     def test_sweep_without_a_prime_builds_nothing(self, monkeypatch, capsys):
-        # a dim-30 shape would take seconds to build; below its threshold
-        # (27000) and between the primes 27017 and 27031 no prime is admissible
+        # the build count, not the time (a dim-30 shape builds in about
+        # 2 ms), shows that nothing is built; below the threshold (27000) and
+        # between the primes 27017 and 27031 no prime is admissible
         calls = self.count_builds(monkeypatch)
         for lo, hi in [(1, 100), (27018, 27030)]:
             for fmt, expected in [("csv", ",".join(cli.CSV_COLUMNS) + "\n"),
@@ -402,6 +402,35 @@ class TestBoundShape:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
         assert calls == []
+
+    def test_one_tangent_series_per_shape(self, monkeypatch):
+        # the w_table check and both Segre conventions share one tangent
+        # series: three inversions of order n - c per shape, and the
+        # cotangent degree reads c_1 at order 1
+        orders = []
+        real = TruncatedSeries.invert
+
+        def counted(series):
+            orders.append(series.order)
+            return real(series)
+
+        monkeypatch.setattr(TruncatedSeries, "invert", counted)
+        for n, c, exps, d in self.SHAPES:
+            orders.clear()
+            bound_shape(n, c, exps, d)
+            assert orders.count(n - c) == 3 and max(orders) == n - c
+            orders.clear()
+            deg_cotangent(n, c, exps, d)
+            assert max(orders) <= 1
+
+    def test_cotangent_c1_does_not_depend_on_the_order(self):
+        for c in range(1, 6):
+            for exps in [(1,) * c, (2,) * c, tuple(range(1, c + 1)), (7, 1, 4, 2, 9)[:c]]:
+                c1 = torbound.chern.cotangent_chern(c, exps, 1).coefficient(1)
+                assert c1 == sum(exps)
+                for dim in range(1, 7):
+                    series = torbound.chern.cotangent_chern(c, exps, dim)
+                    assert series.coefficient(1) == c1
 
     def test_report_validates_like_bound_input(self):
         shape = bound_shape(3, 2, (1, 1), 1)
@@ -504,6 +533,33 @@ class TestRefusalsComeFirst:
         for extra in ([], ["--sweep-p", "1:100"]):
             assert cli.main(argv + extra) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_size_cap(self, monkeypatch, capsys):
+        # n - c = 256 is under the dimension cap, but 333-bit exponents would
+        # keep bound_shape busy for about a minute and a half
+        calls = self.record(monkeypatch, "deg_cotangent")
+        message = f"bound size cap exceeded ({torbound.bounds.MAX_BOUND_BITS})"
+        exps = (10**100,) * 256
+        start = time.perf_counter()
+        for make in [
+            lambda: bound_shape(512, 256, exps, 1),
+            lambda: threshold_debarre(512, 256, exps, 1),
+            lambda: BoundInput(512, 256, exps, 1),
+            lambda: pex_terms(512, 256, exps, 1, 3),
+            lambda: pex_closed_form_uniform(512, 256, 10**100, 1, 3, "dual"),
+        ]:
+            with pytest.raises(CapacityError, match=re.escape(message)):
+                make()
+        assert time.perf_counter() - start < 0.5
+        assert calls == []
+        argv = ["bound", "--n", "512", "--c", "256", "--e", str(10**100), "--degL", "1"]
+        for extra in ([], ["--sweep-p", "1:100"]):
+            assert cli.main(argv + extra) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        # the cap admits n - c = 512 with exponents up to 3
+        torbound.bounds._validate_bound_shape(1024, 512, (3,) * 512, 1)
+        with pytest.raises(CapacityError, match=re.escape(message)):
+            torbound.bounds._validate_bound_shape(1024, 512, (3,) * 511 + (4,), 1)
 
     def test_auto_prime_refused_before_the_shape(self, monkeypatch):
         # the threshold, 2**114, is past the deterministic witness range

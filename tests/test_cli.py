@@ -1,5 +1,6 @@
 import io
 import json
+import subprocess
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ from torbound.bounds import BoundShape
 from torbound.primes import DETERMINISTIC_LIMIT
 from torbound.cli import (
     CSV_COLUMNS,
+    EXIT_BROKEN_PIPE,
     build_parser,
     main,
     report_csv_row,
@@ -404,3 +406,16 @@ def test_json_round_trip_recompute():
         )
     )
     assert report_json_dict(again) == {**doc, "p": doc["prime_used"]}
+
+
+def test_reader_closing_the_pipe_ends_quietly():
+    # the sweep writes about 1.7 MB, far more than a pipe buffer holds, so
+    # the writer is still running when the reader closes the pipe
+    argv = ["bound", "--n", "4", "--c", "2", "--e-list", "2,3", "--degL", "1",
+            "--format", "csv", "--sweep-p", "100:100000"]
+    with subprocess.Popen([sys.executable, "-m", "torbound", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == (",".join(CSV_COLUMNS) + "\n").encode()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert proc.stderr.read() == b""
