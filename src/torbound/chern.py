@@ -11,7 +11,7 @@ codimension j.
 import math
 
 from .combinatorics import inverse_series_coeff
-from .errors import InternalConsistencyError, ValidationError, check_int
+from .errors import ValidationError, check_int, check_routes
 from .series import TruncatedSeries
 
 
@@ -80,15 +80,9 @@ def segre_cotangent(m, c, exponents, order):
     check_int(order, "series order must be >= 0")
     check_int(m, f"coefficient index {m} outside [0, {order}]", low=0, high=order)
     comega = cotangent_chern(c, exponents, order)
-    by_recurrence = comega.invert().coefficient(m)
     head = tuple(comega.coefficient(j) for j in range(1, m + 1))
-    by_closed_form = inverse_series_coeff(head, m)
-    if by_recurrence != by_closed_form:
-        raise InternalConsistencyError(
-            f"segre coefficient {m} disagrees: recurrence {by_recurrence}, "
-            f"closed form {by_closed_form}"
-        )
-    return by_recurrence
+    return check_routes(f"segre coefficient {m}", ("recurrence", comega.invert().coefficient(m)),
+                        ("closed form", inverse_series_coeff(head, m)))
 
 
 def top_integral(n, c, exponents, d):
@@ -106,10 +100,6 @@ def deg_cotangent(n, c, exponents, d):
     enters, and c_1 * l**(n-c-1) is c_1 times the top class l**(n-c).
     """
     exps = _validate_geometry(n, c, exponents, d)
-    closed = sum(exps) * math.prod(exps) * d
-    via_integral = cotangent_chern(c, exps, 1).coefficient(1) * top_integral(n, c, exps, d)
-    if closed != via_integral:
-        raise InternalConsistencyError(
-            f"cotangent degree disagrees: closed form {closed}, integral {via_integral}"
-        )
-    return closed
+    top = math.prod(exps) * d  # top_integral, on exponents already checked
+    return check_routes("cotangent degree", ("closed form", sum(exps) * top),
+                        ("integral", cotangent_chern(c, exps, 1).coefficient(1) * top))

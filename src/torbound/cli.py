@@ -12,16 +12,11 @@ invocation.
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
 
-from .bounds import (
-    BoundInput,
-    bound_shape,
-    threshold_debarre,
-    threshold_lemma_p,
-    torsion_bound,
-)
+from .bounds import BoundInput, _sweep, threshold_debarre, threshold_lemma_p, torsion_bound
 from .combinatorics import check_weight, w_coeff, z_coeff
 from .errors import (
     CapacityError,
@@ -30,7 +25,7 @@ from .errors import (
     check_int,
     exact_digits,
 )
-from .primes import is_prime, next_prime
+from .primes import next_prime
 from .series import TruncatedSeries
 from .witt import FiniteField, WittRing
 
@@ -204,17 +199,7 @@ def _cmd_bound(args):
             raise ValidationError("--sweep-p needs 0 <= FROM <= TO")
         if hi - lo > MAX_SWEEP_WIDTH:
             raise CapacityError(f"sweep range cap exceeded ({MAX_SWEEP_WIDTH})")
-        # admissible primes lie above the threshold and at most TO; past 2,
-        # only odd candidates are tested, as next_prime does
-        first = max(lo, threshold_debarre(args.n, args.c, exps, args.degL) + 1)
-        primes = [2] if first <= 2 <= hi else []
-        primes += filter(is_prime, range(max(first, 3) | 1, hi + 1, 2))
-        reports = ()
-        if primes:
-            # one verified shape before the first byte; each prime is one
-            # evaluation of its rows, streamed as it is made
-            shape = bound_shape(args.n, args.c, exps, args.degL)
-            reports = (shape.report(q, args.mode) for q in primes)
+        reports = _sweep(args.n, args.c, exps, args.degL, lo, hi, args.mode)
         _emit_reports(reports, args.format, sys.stdout)
         return 0
     inp = BoundInput(args.n, args.c, exps, args.degL, p=_parse_p(args.p), mode=args.mode)
@@ -274,7 +259,7 @@ def _cmd_witt(args):
         if args.b is None:
             raise ValidationError(f"--b is required for op {args.op}")
         y = pair(args.b, "--b")
-        result = {"add": x + y, "mul": x * y, "sub": x - y}[args.op]
+        result = getattr(operator, args.op)(x, y)
     elif args.op == "neg":
         result = -x
     elif args.op == "frobenius":

@@ -174,8 +174,7 @@ def z_coeff(i, c, exponents):
     exps = tuple(exponents)
     if len(exps) != c:
         raise ValidationError(f"exponent sequence length {len(exps)} != c = {c}")
-    head = tuple(sym_elementary(exps, j) for j in range(1, i + 1))
-    return inverse_series_coeff(head, i)
+    return inverse_series_coeff(sym_elementary_table(exps, i)[1:], i)
 
 
 def inverse_series_coeff(head, m):

@@ -1,5 +1,6 @@
 """Exception types shared across the package, its one integer rule, its
-one immutable-value base and its one rule for printing big integers.
+one two-route rule, its one immutable-value base and its one rule for
+printing big integers.
 
 Validation failures and internal consistency failures are kept distinct so
 callers (and the CLI exit-code mapping) can tell bad input apart from a bug
@@ -40,6 +41,31 @@ def exact_digits():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def check_routes(what, first, second, where=None):
+    """The package's two-route rule: two independent routes to one value agree.
+
+    first and second are (route, values): scalars when where is None, else
+    sequences compared one coefficient at a time, where formatting the index
+    ("t**{}"). The first mismatch, or unequal lengths, raises
+    InternalConsistencyError("<what> disagrees[ at <where>]: <route> <x>,
+    <route> <y>") in exact digits. Returns the first values.
+    """
+    (route_a, a), (route_b, b) = first, second
+    if where is None:
+        a, b, where = (a,), (b,), ""
+    elif len(a) != len(b):
+        raise InternalConsistencyError(
+            f"{what} disagrees in length: {route_a} {len(a)}, {route_b} {len(b)}"
+        )
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            at = where and " at " + where.format(i)
+            with exact_digits():
+                message = f"{what} disagrees{at}: {route_a} {x}, {route_b} {y}"
+            raise InternalConsistencyError(message)
+    return first[1]
 
 
 class Frozen:

@@ -342,13 +342,13 @@ class TestBoundShape:
     @staticmethod
     def count_builds(monkeypatch):
         calls = []
-        real = cli.bound_shape
+        real = torbound.bounds.bound_shape
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cli, "bound_shape", counted)
+        monkeypatch.setattr(torbound.bounds, "bound_shape", counted)
         return calls
 
     def test_sweep_rows_equal_single_reports(self, capsys):
@@ -378,6 +378,24 @@ class TestBoundShape:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) > 10
         assert calls == [(n, c, exps, d)]
+
+    def test_sweep_tests_each_candidate_once(self, monkeypatch, capsys):
+        # the range filter tests each odd candidate above the threshold once,
+        # and the reports it streams test nothing again
+        tested = []
+        real = torbound.bounds.is_prime
+
+        def counted(q):
+            tested.append(q)
+            return real(q)
+
+        monkeypatch.setattr(torbound.bounds, "is_prime", counted)
+        n, c, exps, d = 6, 3, (1, 2, 1), 1
+        t = threshold_debarre(n, c, exps, d)
+        assert cli.main(self.sweep_argv(n, c, exps, d, t - 50, t + 200)) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert tested == list(range((t + 1) | 1, t + 201, 2))
+        assert len(rows) == sum(map(real, tested)) > 10
 
     def test_sweep_without_a_prime_builds_nothing(self, monkeypatch, capsys):
         # the build count, not the time (a dim-30 shape builds in about

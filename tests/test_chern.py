@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import torbound
 from torbound import (
+    InternalConsistencyError,
     TruncatedSeries,
     ValidationError,
     chern_normal,
@@ -115,6 +117,16 @@ def test_segre_cotangent_nonuniform_paths_agree():
         order = rng.randint(1, 7)
         for m in range(order + 1):
             segre_cotangent(m, c, exps, order)
+
+
+def test_segre_cotangent_route_fires(monkeypatch):
+    # S(t) = (1 - t)**2 for c = 2, e = (1, 1): coefficient 2 is 1
+    real = torbound.chern.inverse_series_coeff
+    monkeypatch.setattr(torbound.chern, "inverse_series_coeff",
+                        lambda head, m: real(head, m) + 1)
+    with pytest.raises(InternalConsistencyError, match="segre coefficient") as info:
+        segre_cotangent(2, 2, (1, 1), 3)
+    assert str(info.value) == "segre coefficient 2 disagrees: recurrence 1, closed form 2"
 
 
 def test_top_integral():

@@ -7,6 +7,7 @@ import pytest
 
 from torbound import torsion_bound, BoundInput
 from torbound.bounds import BoundShape
+from torbound.witt import WittPair
 from torbound.primes import DETERMINISTIC_LIMIT
 from torbound.cli import (
     CSV_COLUMNS,
@@ -205,6 +206,22 @@ def test_witt_all_ops(capsys):
         assert out == expected, argv
 
 
+def test_witt_computes_only_the_requested_op(capsys, monkeypatch):
+    products = []
+    real = WittPair.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(WittPair, "__mul__", counted)
+    for op, expected in [("add", "4,1\n"), ("sub", "0,3\n"), ("mul", "4,1\n")]:
+        products.clear()
+        assert run_cli(capsys, "witt", "--p", "5", "--op", op,
+                       "--a", "2,3", "--b", "2,0") == (0, expected, "")
+        assert len(products) == (op == "mul")
+
+
 def test_witt_missing_b(capsys):
     code, _, err = run_cli(capsys, "witt", "--p", "3", "--op", "add", "--a", "1,0")
     assert code == 2
@@ -373,13 +390,13 @@ def test_sweep_past_the_limit_names_the_first_odd_candidate(capsys):
 def test_sweep_streams_rows(monkeypatch):
     out = io.StringIO()
     written_before_report = []
-    real = BoundShape.report
+    real = BoundShape._assemble
 
     def report(self, *args):
         written_before_report.append(out.getvalue())
         return real(self, *args)
 
-    monkeypatch.setattr(BoundShape, "report", report)
+    monkeypatch.setattr(BoundShape, "_assemble", report)
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["bound", "--n", "2", "--c", "1", "--e", "2", "--degL", "1",
                  "--sweep-p", "5:12", "--format", "csv"]) == 0

@@ -20,6 +20,7 @@ from torbound import (
     w_coeff,
     z_coeff,
 )
+import torbound
 from torbound.combinatorics import sym_complete_table, sym_elementary_table
 
 
@@ -178,6 +179,28 @@ def test_z_coeff_example():
 def test_z_coeff_rejects_length_mismatch():
     with pytest.raises(ValidationError):
         z_coeff(2, 3, (1, 2))
+
+
+def test_z_coeff_checks_the_exponents_at_every_weight():
+    for i in range(3):
+        for bad in [(1.5,), (Fraction(1, 2),), (True,), ("1",)]:
+            with pytest.raises(ValidationError):
+                z_coeff(i, 1, bad)
+
+
+def test_z_coeff_reads_one_elementary_table(monkeypatch):
+    degrees = []
+    real = torbound.combinatorics.sym_elementary_table
+
+    def counted(values, j):
+        degrees.append(j)
+        return real(values, j)
+
+    monkeypatch.setattr(torbound.combinatorics, "sym_elementary_table", counted)
+    for i in range(6):
+        degrees.clear()
+        assert z_coeff(i, 3, (1, 2, 4)) == (-1) ** i * sym_complete((1, 2, 4), i)
+        assert degrees == [i]
 
 
 def test_z_coeff_series_oracle():
