@@ -123,11 +123,20 @@ def _closed_form_rows(n, c, exps, d, uniform):
 
 
 def _terms(rows, dim, p):
-    # Evaluate p-free rows at p in both conventions.
-    return tuple(
-        PexTerm(h, binom, inner, coeff * (-p) ** (dim - h), coeff * p ** (dim - h))
-        for h, binom, inner, coeff in rows
-    )
+    # Evaluate p-free rows at p in both conventions: (PexTerm rows, paper
+    # sum, dual sum). Row h takes p**m, m = dim - h, from one descending chain
+    # of powers; the paper term is the dual one with its sign flipped for odd m.
+    terms = []
+    paper = dual = 0
+    power = p**dim
+    for h, binom, inner, coeff in rows:
+        dual_term = coeff * power
+        paper_term = -dual_term if (dim - h) & 1 else dual_term
+        terms.append(PexTerm(h, binom, inner, paper_term, dual_term))
+        paper += paper_term
+        dual += dual_term
+        power //= p
+    return tuple(terms), paper, dual
 
 
 def pex_closed_form_uniform(n, c, e, d, p, convention):
@@ -137,7 +146,7 @@ def pex_closed_form_uniform(n, c, e, d, p, convention):
     _check_prime(p)
     column = _column(convention)
     rows, _ = _closed_form_rows(n, c, exps, d, True)
-    return _column_sum(_terms(rows, n - c, p), column)
+    return _column_sum(_terms(rows, n - c, p)[0], column)
 
 
 def pex_closed_form_general(n, c, exponents, d, p, convention):
@@ -146,7 +155,7 @@ def pex_closed_form_general(n, c, exponents, d, p, convention):
     _check_prime(p)
     column = _column(convention)
     rows, _ = _closed_form_rows(n, c, exps, d, False)
-    return _column_sum(_terms(rows, n - c, p), column)
+    return _column_sum(_terms(rows, n - c, p)[0], column)
 
 
 def _pex_geometric(tangent, ti, convention):
@@ -253,7 +262,7 @@ class BoundShape(Frozen):
 
     def terms(self, p):
         """The PexTerm rows at p."""
-        return _terms(self.rows, self.n - self.c, p)
+        return _terms(self.rows, self.n - self.c, p)[0]
 
     def report(self, p_request="auto", mode="both"):
         """The report at p_request: a prime above the threshold, or "auto"."""
@@ -263,10 +272,8 @@ class BoundShape(Frozen):
 
     def _assemble(self, p_request, prime_used, mode):
         # the report at an admissible prime_used, with mode already checked
-        n, exps, d = self.n, self.exponents, self.d
-        terms = self.terms(prime_used)
-        pex_paper = _column_sum(terms, "term_paper")
-        pex_dual = _column_sum(terms, "term_dual")
+        n, c, exps, d = self.n, self.c, self.exponents, self.d
+        terms, pex_paper, pex_dual = _terms(self.rows, n - c, prime_used)
         deg_ab = prime_used ** (2 * n) * d  # deg_abelian_bound; p is checked by callers
         bound_paper = deg_ab * pex_paper
         bound_dual = deg_ab * pex_dual
@@ -277,25 +284,9 @@ class BoundShape(Frozen):
             flags.add(FLAG_UNIFORM_CHECKED)
             if exps[0] <= n:
                 flags.add(FLAG_E_BELOW_SIMPLE)
-        return BoundReport(
-            n=n,
-            c=self.c,
-            exponents=exps,
-            d=d,
-            p_request=p_request,
-            mode=mode,
-            threshold=self.threshold,
-            prime_used=prime_used,
-            deg_cotangent=self.deg_cotangent,
-            w_table=self.w_table,
-            terms=terms,
-            deg_pex_paper=pex_paper,
-            deg_pex_dual=pex_dual,
-            deg_abelian=deg_ab,
-            bound_paper=bound_paper,
-            bound_dual=bound_dual,
-            flags=frozenset(flags),
-        )
+        return BoundReport(n, c, exps, d, p_request, mode, self.threshold, prime_used,
+                           self.deg_cotangent, self.w_table, terms, pex_paper, pex_dual,
+                           deg_ab, bound_paper, bound_dual, frozenset(flags))
 
 
 def bound_shape(n, c, exponents, d):

@@ -7,7 +7,7 @@ callers (and the CLI exit-code mapping) can tell bad input apart from a bug
 in the arithmetic itself.
 """
 
-import contextlib
+import functools
 import sys
 
 
@@ -31,16 +31,33 @@ def check_int(value, message, low=None, high=None):
     return value
 
 
-@contextlib.contextmanager
-def exact_digits():
+class exact_digits:
     """Print exact integers of any length: lift CPython's 4300-digit
-    int-to-str limit for the block, and restore it afterwards."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
+    int-to-str limit for a with-block or a decorated call and restore it
+    afterwards; each entry saves its own limit, so blocks and calls nest."""
+
+    __slots__ = ("_limits",)
+
+    def __init__(self):
+        self._limits = []
+
+    def __enter__(self):
+        self._limits.append(sys.get_int_max_str_digits())
+        sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info):
+        sys.set_int_max_str_digits(self._limits.pop())
+
+    def __call__(self, fn):
+        @functools.wraps(fn)
+        def exact(*args, **kwargs):
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                sys.set_int_max_str_digits(limit)
+        return exact
 
 
 def check_routes(what, first, second, where=None):

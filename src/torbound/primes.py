@@ -1,17 +1,31 @@
 """Deterministic primality testing and next-prime search.
 
-Miller-Rabin with the fixed witness set {2, ..., 37} is deterministic for
-all n < 3317044064679887385961981 (~3.3e24); see Sorenson & Webster,
-"Strong pseudoprimes to twelve prime bases" (Math. Comp. 86, 2017), or
-https://en.wikipedia.org/wiki/Miller%E2%80%93Rabin_primality_test
-Inputs at or past that limit raise rather than silently degrading to a
-probabilistic answer.
+Miller-Rabin to the first k prime bases is deterministic below psi_k, the
+least strong pseudoprime to all of them (OEIS A014233): 2 and 3 decide every
+n < psi_2 = 1373653, the twelve bases 2..37 every n < psi_12 (~3.2e23) and
+the thirteen bases 2..41 every n < psi_13 = 3317044064679887385961981
+(~3.3e24). is_prime runs the first k bases for the least k with n < psi_k.
+The psi_k table is Jaeschke's, "On strong pseudoprimes to several bases"
+(Math. Comp. 61, 1993), whose bounds for psi_9..psi_11 Jiang & Deng proved
+exact (Math. Comp. 83, 2014); psi_12 and psi_13 are from Sorenson & Webster,
+"Strong pseudoprimes to twelve prime bases" (Math. Comp. 86, 2017). Inputs
+at or past psi_13 raise rather than silently degrading to a probabilistic
+answer.
 """
+
+import bisect
+import math
 
 from .errors import CapacityError, ValidationError, check_int
 
-DETERMINISTIC_LIMIT = 3317044064679887385961981
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# _PSI[k - 1] = psi_k; psi_7 = psi_8 and psi_9 = psi_10 = psi_11
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
+_BASES_PRODUCT = math.prod(_BASES)
+DETERMINISTIC_LIMIT = _PSI[-1]
 
 
 def is_prime(n):
@@ -24,20 +38,14 @@ def is_prime(n):
         raise CapacityError(
             f"{n} is beyond the deterministic witness range (< {DETERMINISTIC_LIMIT})"
         )
-    if n < 2:
+    if n <= _BASES[-1]:
+        return n in _BASES
+    if math.gcd(n, _BASES_PRODUCT) != 1:
         return False
-    for w in _WITNESSES:
-        if n == w:
-            return True
-        if n % w == 0:
-            return False
-    # n odd, coprime to all witnesses; write n-1 = d * 2**s
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for w in _WITNESSES:
+    # n odd, coprime to all bases; write n-1 = d * 2**s
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for w in _BASES[: bisect.bisect_right(_PSI, n) + 1]:
         x = pow(w, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -8,6 +8,7 @@ import pytest
 
 import torbound.bounds
 import torbound.chern
+from torbound.bounds import PexTerm
 from torbound import (
     BoundInput,
     CapacityError,
@@ -515,6 +516,30 @@ class TestClosedFormIsTheDoubleInversion:
             if len(set(exps)) > 1:
                 shape = bound_shape(dim + c, c, exps, d)
                 assert (shape.rows, shape.w_table) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 31741, 10**20 + 39])
+def test_rows_evaluate_to_the_literal_powers(p):
+    # terms(p) and the report's degree sums against coeff * (-p)**m (paper)
+    # and coeff * p**m (dual), m = n - c - h, row by row
+    rng = random.Random(f"rows at {p}")
+    for _ in range(40):
+        dim = rng.randint(1, 10)
+        c = rng.randint(dim, dim + 3)
+        exps = tuple(rng.randint(1, 4) for _ in range(c))
+        if rng.random() < 0.3:
+            exps = (exps[0],) * c
+        d = rng.randint(1, 3)
+        shape = bound_shape(dim + c, c, exps, d)
+        report = shape._assemble(p, p, "both")
+        assert len(shape.terms(p)) == len(report.terms) == dim + 1
+        for (h, binom, inner, coeff), term, reported in zip(shape.rows, shape.terms(p),
+                                                             report.terms):
+            m = dim - h
+            assert term == PexTerm(h, binom, inner, coeff * (-p) ** m, coeff * p**m)
+            assert reported == term
+        assert report.deg_pex_paper == sum(t.term_paper for t in report.terms)
+        assert report.deg_pex_dual == sum(t.term_dual for t in report.terms)
 
 
 class TestRefusalsComeFirst:

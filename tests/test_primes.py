@@ -1,6 +1,30 @@
+import math
+
 import pytest
 
+import torbound.primes
 from torbound import DETERMINISTIC_LIMIT, CapacityError, ValidationError, is_prime, next_prime
+from torbound.cli import main
+
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233),
+# with its known factors
+PSI = {
+    1: (2047, (23, 89)),
+    2: (1373653, (829, 1657)),
+    3: (25326001, (2251, 11251)),
+    4: (3215031751, (151, 751, 28351)),
+    5: (2152302898747, (6763, 10627, 29947)),
+    6: (3474749660383, (1303, 16927, 157543)),
+    7: (341550071728321, (10670053, 32010157)),
+    8: (341550071728321, (10670053, 32010157)),
+    9: (3825123056546413051, (149491, 747451, 34233211)),
+    10: (3825123056546413051, (149491, 747451, 34233211)),
+    11: (3825123056546413051, (149491, 747451, 34233211)),
+    12: (318665857834031151167461, (399165290221, 798330580441)),
+    13: (3317044064679887385961981, (1287836182261, 2575672364521)),
+}
+PSI_12 = PSI[12][0]
 
 
 def sieve(limit):
@@ -10,6 +34,20 @@ def sieve(limit):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
     return flags
+
+
+def strong_probable_prime(n, base):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def test_agrees_with_sieve_below_ten_thousand():
@@ -63,3 +101,56 @@ def test_bad_inputs_rejected():
         is_prime(6.0)
     with pytest.raises(ValidationError):
         next_prime(-1)
+
+
+def test_agrees_with_sieve_below_two_million():
+    flags = sieve(2 * 10**6)
+    for n in range(2 * 10**6):
+        assert is_prime(n) == bool(flags[n]), n
+
+
+def test_the_last_psi_is_the_limit():
+    assert PSI[13][0] == DETERMINISTIC_LIMIT
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_psi_is_the_product_of_its_factors(k):
+    psi, factors = PSI[k]
+    assert math.prod(factors) == psi
+    assert all(f > 1 for f in factors)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_psi_fools_the_first_k_bases_and_not_is_prime(k):
+    # the table cannot be shortened: the first k bases alone call psi_k prime
+    psi = PSI[k][0]
+    assert all(strong_probable_prime(psi, base) for base in BASES[:k])
+    assert not is_prime(psi)
+
+
+def test_next_prime_skips_psi_12():
+    assert next_prime(PSI_12 - 1) == 318665857834031151167483
+
+
+def test_cli_refuses_psi_12_as_a_prime(capsys):
+    code = main(["bound", "--n", "2", "--c", "1", "--e", "1", "--degL", "1",
+                 "--p", str(PSI_12), "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: p must be prime\n")
+    code = main(["threshold", "--kind", "lemma-p", "--n", "1",
+                 "--deg-omega", str(PSI_12 - 1)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (0, f"{PSI_12 - 1} 318665857834031151167483\n", "")
+
+
+@pytest.mark.parametrize("n, powers", [(31741, 2), (2**61 - 1, 9)])
+def test_is_prime_runs_only_the_bases_n_needs(monkeypatch, n, powers):
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(torbound.primes, "pow", counting_pow, raising=False)
+    assert is_prime(n)
+    assert len(calls) == powers

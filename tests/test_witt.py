@@ -274,3 +274,35 @@ def test_times_validation():
     assert x.times(0) == WittRing(FiniteField(3)).zero
     with pytest.raises(ValidationError):
         x.times(-1)
+
+
+def horner_carry(coeffs, p, a, b):
+    # -b^p sum_k c_k t^k with t = a / b in F_p, by Horner's rule in t; the
+    # c_k come reduced mod p
+    if not b:
+        return 0
+    t = a * pow(b, -1, p) % p
+    acc = 0
+    for ck in reversed(coeffs):
+        acc = (acc * t + ck) % p
+    return -acc * t * pow(b, p, p) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
+def test_prime_field_carry_is_horner_on_the_coefficients(p):
+    # the ring reads the carry in Z/p^2; the c_k route is the second one
+    coeffs = [ck % p for ck in carry_coefficients(p)]
+    ring = WittRing(FiniteField(p))
+    for a in range(p):
+        for b in range(p):
+            assert ring.carry_index(a, b) == horner_carry(coeffs, p, a, b), (a, b)
+
+
+def test_prime_field_carry_is_horner_on_the_coefficients_at_2999():
+    p = 2999
+    coeffs = [ck % p for ck in carry_coefficients(p)]
+    ring = WittRing(FiniteField(p))
+    rng = random.Random(p)
+    for _ in range(2000):
+        a, b = rng.randrange(p), rng.randrange(p)
+        assert ring.carry_index(a, b) == horner_carry(coeffs, p, a, b), (a, b)
