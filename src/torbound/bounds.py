@@ -90,11 +90,12 @@ class PexTerm(Frozen):
     __slots__ = ("h", "binom_coeff", "inner_sum", "term_paper", "term_dual")
 
     def __init__(self, h, binom_coeff, inner_sum, term_paper, term_dual):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "binom_coeff", binom_coeff)
-        object.__setattr__(self, "inner_sum", inner_sum)
-        object.__setattr__(self, "term_paper", term_paper)
-        object.__setattr__(self, "term_dual", term_dual)
+        set_h, set_binom, set_inner, set_paper, set_dual = self._setters
+        set_h(self, h)
+        set_binom(self, binom_coeff)
+        set_inner(self, inner_sum)
+        set_paper(self, term_paper)
+        set_dual(self, term_dual)
 
 
 def _closed_form_rows(n, c, exps, d, uniform):

@@ -47,9 +47,9 @@ CSV_COLUMNS = (
 EXIT_BROKEN_PIPE = 141
 
 # Every admissible prime in a sweep range is a report row. From p = 31105,
-# the shape (12, 6, (1,2,3,1,2,3), 2) gives 950 rows in 0.1 s at width
-# 10**4, 8,902 rows in 0.9 s at 10**5 and 77,428 rows in 9.8 s at 10**6
-# (2-vCPU Xeon, CPython 3.11, in-process).
+# the shape (12, 6, (1,2,3,1,2,3), 2) gives 950 CSV rows in 0.03-0.04 s at
+# width 10**4, 8,902 rows in 0.23-0.36 s at 10**5 and 77,428 rows in 2.4-2.7 s
+# at 10**6 (2-vCPU Xeon, CPython 3.11.7, in-process, a noisy shared host).
 MAX_SWEEP_WIDTH = 10**5
 
 

@@ -40,7 +40,8 @@ class CompositionMultiset(Frozen):
                 check_int(r, "multiplicities must be ints")
         if any(r < 0 for r in mults):
             raise ValidationError("multiplicities must be >= 0")
-        object.__setattr__(self, "multiplicities", mults)
+        (set_multiplicities,) = self._setters
+        set_multiplicities(self, mults)
 
     @property
     def weight(self):

@@ -91,11 +91,17 @@ class Frozen:
     Values compare equal, and hash alike, when they have the same type and the
     same _key(), which is every field unless a subclass narrows it. The repr
     names every field, integers in exact digits. Pickling and copying restore
-    the fields through __setstate__. Subclasses built per arithmetic operation
-    store their fields directly instead of calling the generic __init__.
+    the fields through __setstate__. Each subclass gets _setters, the __set__
+    of its slots' own member descriptors in __slots__ order: the generic
+    __init__ sets fields through it, and subclasses built per operation or per
+    row unroll their __init__ over it instead of calling object.__setattr__.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
@@ -103,10 +109,10 @@ class Frozen:
             name in kwargs for name in fields[len(args):]
         ):
             raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
-        for name in fields[len(args):]:
-            object.__setattr__(self, name, kwargs[name])
+        if kwargs:
+            args += tuple(kwargs[name] for name in fields[len(args):])
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -45,8 +45,9 @@ class TruncatedSeries(Frozen):
             )
         # pad with zeros up to the requested order
         coeffs = coeffs + (0,) * (order + 1 - len(coeffs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coefficients", coeffs)
+        set_order, set_coefficients = self._setters
+        set_order(self, order)
+        set_coefficients(self, coeffs)
 
     @classmethod
     def one(cls, order):

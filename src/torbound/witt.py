@@ -1,14 +1,17 @@
 """Length-2 Witt vectors over small finite fields.
 
 W2(F_q) is the ring of pairs (a0, a1) with the universal addition carry
-P_p(X, Y) = (X^p + Y^p - (X+Y)^p) / p, whose integer coefficients are built
-(exact divisibility by p asserted) and reduced into the field once per ring.
-For q = p the first ghost component identifies W2(F_p) with Z/p^2, the
-module's external correctness anchor, where the F_p carry is computed too.
+P_p(X, Y) = (X^p + Y^p - (X+Y)^p) / p. For q = p the first ghost component
+identifies W2(F_p) with Z/p^2, the module's external correctness anchor, and
+the F_p carry is computed there, so a prime-field ring builds no table. An
+extension ring builds the integer coefficients of P_p (exact divisibility by p
+asserted) and reduces them into the field once per ring.
 
 A residue of F_q = F_p[x]/(m) is one int in 0..q-1, its index, whose base-p
 digits, lowest first, are its coefficients (0..p-1 is the prime field in F_p
-and every extension), and a Witt pair stores the indices of its components.
+and every extension), and a Witt pair stores the indices of its components:
+FiniteField._residue validates an input and returns its index, so a pair is
+built from its inputs without building an FqElement.
 Prime fields compute with % p; an extension field builds exp, log and
 Zech-log tables over a primitive element once, so its arithmetic is lookups.
 """
@@ -19,8 +22,11 @@ import math
 from .errors import CapacityError, Frozen, ValidationError, check_int
 from .primes import is_prime
 
-# the exact binomials grow like p**2.7: every ring over F_2999 builds in about
-# 0.65 s; a carry over it then takes 0.005-0.02 ms (2-vCPU Xeon, CPython 3.11.7)
+# the documented range of the carry: the exact binomials of carry_coefficients
+# grow like p**2.7 (p = 2999 builds them in about 0.6 s), but only extension
+# rings, p <= 509 under the field table cap, build them; a prime-field ring
+# builds none and is refused past the cap all the same, its carry a few modular
+# powers (0.005-0.02 ms over F_2999; 2-vCPU Xeon, CPython 3.11.7)
 _CARRY_CAP = 3000
 # an extension field builds exp, log and Zech tables of q entries each, in
 # O(q) steps: F_(2**18), the largest field at the cap, builds in 0.3-0.5 s and
@@ -33,8 +39,7 @@ def carry_coefficients(p):
     -sum c_k X^k Y^(p-k); each division must be exact, and is asserted."""
     if not is_prime(p):
         raise ValidationError("characteristic must be prime")
-    if p > _CARRY_CAP:
-        raise CapacityError(f"carry characteristic cap exceeded ({_CARRY_CAP})")
+    _check_carry_cap(p)
     out = []
     for k in range(1, p):
         b = math.comb(p, k)
@@ -42,6 +47,11 @@ def carry_coefficients(p):
             raise ValidationError(f"binom({p},{k}) not divisible by {p}")
         out.append(b // p)
     return tuple(out)
+
+
+def _check_carry_cap(p):
+    if p > _CARRY_CAP:
+        raise CapacityError(f"carry characteristic cap exceeded ({_CARRY_CAP})")
 
 
 def _digits(index, p, f):
@@ -109,12 +119,18 @@ class FiniteField(Frozen):
         return f"FiniteField({self.p}, modulus={self.modulus!r})"
 
     def element(self, value):
+        index = self._residue(value)
+        return value if isinstance(value, FqElement) else FqElement(self, index)
+
+    def _residue(self, value):
+        """The index of an int, a coefficient tuple or list, or an element of
+        this field; anything else raises ValidationError."""
         if isinstance(value, FqElement):
             if value.field != self:
                 raise ValidationError("element belongs to a different field")
-            return value
+            return value.index
         if isinstance(value, int) and not isinstance(value, bool):
-            return FqElement(self, value % self.p)
+            return value % self.p
         if not isinstance(value, (tuple, list)):
             raise ValidationError("element must be an int or a coefficient tuple")
         for x in value:
@@ -124,7 +140,7 @@ class FiniteField(Frozen):
             raise ValidationError(
                 f"coefficient tuple longer than extension degree {self.degree}"
             )
-        return FqElement(self, _index(value, self.p))
+        return _index(value, self.p)
 
     @property
     def zero(self):
@@ -136,8 +152,11 @@ class FiniteField(Frozen):
 
     def elements(self):
         """All q elements, lexicographic on coefficient tuples."""
-        for coeffs in itertools.product(range(self.p), repeat=self.degree):
-            yield FqElement(self, _index(coeffs, self.p))
+        return (FqElement(self, i) for i in self._indices())
+
+    def _indices(self):
+        p = self.p
+        return (_index(coeffs, p) for coeffs in itertools.product(range(p), repeat=self.degree))
 
     # index-level arithmetic, used by FqElement and the Witt ring: % p in a
     # prime field; in an extension, g**i * g**j = g**(i+j) and
@@ -191,8 +210,9 @@ class FqElement(Frozen):
     __slots__ = ("field", "index")
 
     def __init__(self, field, index):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "index", index)
+        set_field, set_index = self._setters
+        set_field(self, field)
+        set_index(self, index)
 
     @property
     def coeffs(self):
@@ -260,16 +280,19 @@ class WittRing(Frozen):
     def __init__(self, field):
         if not isinstance(field, FiniteField):
             raise ValidationError("expected a FiniteField")
-        # c_k lies in the prime field, whose indices are 0..p-1
-        coeffs = tuple(ck % field.p for ck in carry_coefficients(field.p))
+        if field.degree == 1:  # the F_p carry reads no coefficients
+            _check_carry_cap(field.p)
+            coeffs = None
+        else:  # c_k lies in the prime field, whose indices are 0..p-1
+            coeffs = tuple(ck % field.p for ck in carry_coefficients(field.p))
         super().__init__(field, coeffs, {})
 
     def _key(self):
         return (self.field,)
 
     def element(self, a0, a1):
-        field = self.field
-        return WittPair(self, field.element(a0).index, field.element(a1).index)
+        residue = self.field._residue
+        return WittPair(self, residue(a0), residue(a1))
 
     @property
     def zero(self):
@@ -284,7 +307,7 @@ class WittRing(Frozen):
 
     def elements(self):
         """All q**2 pairs, lexicographic."""
-        order = [a.index for a in self.field.elements()]
+        order = list(self.field._indices())
         return (WittPair(self, i0, i1) for i0 in order for i1 in order)
 
     def carry(self, a0, b0):
@@ -325,9 +348,10 @@ class WittPair(Frozen):
     __slots__ = ("ring", "i0", "i1")
 
     def __init__(self, ring, i0, i1):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "i0", i0)
-        object.__setattr__(self, "i1", i1)
+        set_ring, set_i0, set_i1 = self._setters
+        set_ring(self, ring)
+        set_i0(self, i0)
+        set_i1(self, i1)
 
     @property
     def a0(self):
@@ -378,8 +402,11 @@ class WittPair(Frozen):
 
     def ghost(self):
         """First ghost component in Z/p^2; prime fields only."""
-        p = self.ring.field.p
-        return (pow(self.a0.lift(), p, p * p) + p * self.a1.lift()) % (p * p)
+        field = self.ring.field
+        if field.degree != 1:
+            raise ValidationError("integer lift needs a prime field")
+        pp = field.p * field.p
+        return (pow(self.i0, field.p, pp) + field.p * self.i1) % pp
 
     def times(self, k):
         """k-fold sum (k >= 0), by doubling and adding: O(log k) additions."""

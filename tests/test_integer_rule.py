@@ -10,6 +10,7 @@ requires exit code 0 or 2, counting argparse's own SystemExit.
 
 import contextlib
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from torbound.errors import ValidationError, check_int
 F5 = tb.FiniteField(5)
 F9 = tb.FiniteField(3, modulus=(1, 0, 1))
 W5 = tb.WittRing(F5)
+W9 = tb.WittRing(F9)
 SERIES = tb.TruncatedSeries((1, 2, 3))
 
 FUZZ = settings(max_examples=200, deadline=2000, derandomize=True, database=None)
@@ -57,7 +59,28 @@ PROBES = {
     "modulus=(1.9, 1.2, 1)": lambda: tb.FiniteField(2, modulus=(1.9, 1.2, 1)),
     "element(2) ** True": lambda: F5.element(2) ** True,
     "times(True)": lambda: W5.element(1, 2).times(True),
+    "W5.element(True, 0)": lambda: W5.element(True, 0),
+    "W5.element(2.5, 0)": lambda: W5.element(2.5, 0),
+    "W5.element('3', 0)": lambda: W5.element("3", 0),
+    "W9.element((1, 2, 0), 0)": lambda: W9.element((1, 2, 0), 0),
+    "W5.element(F9.element(1), 0)": lambda: W5.element(F9.element(1), 0),
 }
+
+
+# a Witt pair reads each component through its field's residue rule, so it
+# refuses what FiniteField.element refuses, with the same message
+@pytest.mark.parametrize(
+    "ring, value",
+    [(W5, True), (W5, 2.5), (W5, "3"), (W9, (1, 2, 0)), (W5, F9.element(1))],
+    ids=["bool", "float", "str", "long tuple", "other field"],
+)
+def test_witt_element_refuses_as_the_field_does(ring, value):
+    with pytest.raises(ValidationError) as refused:
+        ring.field.element(value)
+    message = f"^{re.escape(str(refused.value))}$"
+    for a0, a1 in ((value, 0), (0, value)):
+        with pytest.raises(ValidationError, match=message):
+            ring.element(a0, a1)
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))

@@ -1,10 +1,12 @@
 """A Witt pair is the ring and the residue indices of its two components.
 
-Pair arithmetic works on those ints alone and builds no field element;
-`a0` and `a1` build the `FqElement` on read, so reprs, equality and the
-outside view are those of a pair of field elements. A field pickles as its
-definition, a shallow copy of a field is the field itself, and the ghost
-map reduces modulo p^2 as it goes.
+Pair arithmetic, `ghost` and `WittRing.elements()` work on those ints alone
+and build no field element, nor does `WittRing.element`, which reads each
+input's index through the field's residue rule; `a0` and `a1` build the
+`FqElement` on read, so reprs, equality and the outside view are those of a
+pair of field elements. A prime-field ring computes its carry in Z/p^2 and
+builds no carry table. A field pickles as its definition, a shallow copy of a
+field is the field itself, and the ghost map reduces modulo p^2 as it goes.
 """
 
 import copy
@@ -13,7 +15,7 @@ import random
 
 import pytest
 
-from torbound import FiniteField, FqElement, WittRing
+from torbound import FiniteField, FqElement, ValidationError, WittRing, witt
 
 F9 = (3, (2, 2, 1))
 
@@ -36,13 +38,42 @@ def test_pair_arithmetic_builds_no_field_element(p, modulus, monkeypatch):
         init(self, field, index)
 
     monkeypatch.setattr(FqElement, "__init__", counting_init)
+    deg = ring.field.degree
+    for _ in range(20):
+        pairs.append(ring.element(rng.randrange(-p, 2 * p), rng.randrange(p)))
+        pairs.append(ring.element(tuple(rng.randrange(p) for _ in range(deg)),
+                                  [rng.randrange(p) for _ in range(rng.randrange(deg + 1))]))
     for x, y in zip(pairs, pairs[1:]):
         x + y, x - y, -x, x * y, x.frobenius(), x.verschiebung()
         x.times(rng.randrange(2, 30))
-    ring.zero, ring.one
+        if modulus is None:
+            x.ghost()
+        else:
+            with pytest.raises(ValidationError, match="^integer lift needs a prime field$"):
+                x.ghost()
+    ring.zero, ring.one, list(ring.elements())
     assert built == []
     x.a0  # the edge of the ring does build one
     assert len(built) == 1
+
+
+def test_only_an_extension_ring_builds_the_carry_coefficients(monkeypatch):
+    asked = []
+
+    def refuse(p):
+        asked.append(p)
+        raise RuntimeError("carry coefficients built")
+
+    monkeypatch.setattr(witt, "carry_coefficients", refuse)
+    p = 101
+    ring = WittRing(FiniteField(p))
+    pairs = sample(ring, random.Random(13), 30)
+    for x, y in zip(pairs, pairs[1:]):
+        assert (x + y).ghost() == (x.ghost() + y.ghost()) % p**2
+    assert asked == []
+    with pytest.raises(RuntimeError, match="carry coefficients built"):
+        WittRing(FiniteField(*F9))
+    assert asked == [3]
 
 
 def test_pinned_pair_reprs():
