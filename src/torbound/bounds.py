@@ -14,13 +14,14 @@ time polynomial in n - c; the composition-sum kernel serves only the series
 toolkit and the tests.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
-from .chern import _validate_geometry, chern_tangent, deg_cotangent
-from .combinatorics import sym_complete_table, sym_elementary_table
+from .chern import _normal_series, _validate_geometry, deg_cotangent
+from .combinatorics import _complete_table, _elementary_table
 from .errors import CapacityError, Frozen, ValidationError, check_int, check_routes
-from .primes import is_prime, next_prime
+from .primes import DETERMINISTIC_LIMIT, is_prime, next_prime
 
 CONVENTIONS = ("paper", "dual")
 MODES = ("paper", "dual", "both")
@@ -37,8 +38,8 @@ MAX_BOUND_DIMENSION = 512
 # integers of up to about B = (n - c) * max(bits) + sum(bits) bits, bits
 # being the exponents' bit lengths. The cap bounds (n - c + 1) * B; at
 # n - c = c = 512 it admits e <= 3 (1.0 s at e = 3). Worst admitted case
-# measured: bound_shape(525312, 525311, (1,)*525311, 1), median 1.6 s of 5; 2.0
-# of 4.7 s under cProfile is check_int, 6 calls per exponent (same machine).
+# measured: bound_shape(525312, 525311, (1,)*525311, 1), median 0.4-0.6 s of
+# 5, with one check_int call per exponent (same machine).
 MAX_BOUND_BITS = 513 * 2048
 
 
@@ -106,13 +107,14 @@ def _closed_form_rows(n, c, exps, d, uniform):
     # double composition sum; it inverts the inverse of prod(1 + e_j t), so it
     # is e_m, or binom(c, m) when uniform. The returned w_table is that
     # inverse: (-1)**i * h_i, or (-1)**i * binom(c+i-1, i) when uniform.
+    # exps are checked: the symmetric tables take them as they are
     dim = n - c
     if uniform:
         inners = tuple(math.comb(c, m) for m in range(dim + 1))
         table = tuple((-1) ** i * math.comb(c + i - 1, i) for i in range(dim + 1))
     else:
-        inners = sym_elementary_table(exps, dim)
-        table = tuple((-1) ** i * h for i, h in enumerate(sym_complete_table(exps, dim)))
+        inners = _elementary_table(exps, dim)
+        table = tuple((-1) ** i * h for i, h in enumerate(_complete_table(exps, dim)))
     scale = exps[0] if uniform else 1  # e**(n-h) = e**c * e**m
     weight = math.prod(exps) * d
     rows = []
@@ -124,20 +126,16 @@ def _closed_form_rows(n, c, exps, d, uniform):
 
 
 def _terms(rows, dim, p):
-    # Evaluate p-free rows at p in both conventions: (PexTerm rows, paper
-    # sum, dual sum). Row h takes p**m, m = dim - h, from one descending chain
-    # of powers; the paper term is the dual one with its sign flipped for odd m.
+    # The PexTerm rows of p-free rows at p, in both conventions. Row h takes
+    # p**m, m = dim - h, from one descending chain of powers; the paper term
+    # is the dual one with its sign flipped for odd m.
     terms = []
-    paper = dual = 0
     power = p**dim
     for h, binom, inner, coeff in rows:
-        dual_term = coeff * power
-        paper_term = -dual_term if (dim - h) & 1 else dual_term
-        terms.append(PexTerm(h, binom, inner, paper_term, dual_term))
-        paper += paper_term
-        dual += dual_term
+        dual = coeff * power
+        terms.append(PexTerm(h, binom, inner, -dual if (dim - h) & 1 else dual, dual))
         power //= p
-    return tuple(terms), paper, dual
+    return tuple(terms)
 
 
 def pex_closed_form_uniform(n, c, e, d, p, convention):
@@ -147,7 +145,7 @@ def pex_closed_form_uniform(n, c, e, d, p, convention):
     _check_prime(p)
     column = _column(convention)
     rows, _ = _closed_form_rows(n, c, exps, d, True)
-    return _column_sum(_terms(rows, n - c, p)[0], column)
+    return _column_sum(_terms(rows, n - c, p), column)
 
 
 def pex_closed_form_general(n, c, exponents, d, p, convention):
@@ -156,7 +154,7 @@ def pex_closed_form_general(n, c, exponents, d, p, convention):
     _check_prime(p)
     column = _column(convention)
     rows, _ = _closed_form_rows(n, c, exps, d, False)
-    return _column_sum(_terms(rows, n - c, p)[0], column)
+    return _column_sum(_terms(rows, n - c, p), column)
 
 
 def _pex_geometric(tangent, ti, convention):
@@ -237,12 +235,31 @@ class BoundInput(Frozen):
         return len(set(self.exponents)) == 1
 
 
-class BoundReport(Frozen):
-    """Full audit trail of one torsion-bound computation."""
+class _TermsSource(Frozen):  # the rows a BoundReport builds its terms from on read
+    __slots__ = ("_rows",)
+
+
+class BoundReport(_TermsSource):
+    """Full audit trail of one torsion-bound computation.
+
+    A report that a BoundShape assembles builds terms, the PexTerm rows at
+    prime_used, on first read: its value, ==, hash, pickle, copy and repr
+    are those of a report built with the terms given.
+    """
 
     __slots__ = ("n", "c", "exponents", "d", "p_request", "mode", "threshold",
                  "prime_used", "deg_cotangent", "w_table", "terms", "deg_pex_paper",
                  "deg_pex_dual", "deg_abelian", "bound_paper", "bound_dual", "flags")
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: terms not read yet, or no such field
+        if name != "terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # _rows stays set, so a second thread that reads terms meanwhile
+        # builds an equal tuple instead of failing
+        terms = _terms(self._rows, self.n - self.c, self.prime_used)
+        BoundReport.terms.__set__(self, terms)
+        return terms
 
 
 class BoundShape(Frozen):
@@ -263,7 +280,7 @@ class BoundShape(Frozen):
 
     def terms(self, p):
         """The PexTerm rows at p."""
-        return _terms(self.rows, self.n - self.c, p)[0]
+        return _terms(self.rows, self.n - self.c, p)
 
     def report(self, p_request="auto", mode="both"):
         """The report at p_request: a prime above the threshold, or "auto"."""
@@ -272,9 +289,13 @@ class BoundShape(Frozen):
         return self._assemble(p_request, _validate_prime(p_request, self.threshold), mode)
 
     def _assemble(self, p_request, prime_used, mode):
-        # the report at an admissible prime_used, with mode already checked
+        # the report at an admissible prime_used, mode checked, its terms left
+        # to build on read: the degree sums by Horner's rule at -p and at p
         n, c, exps, d = self.n, self.c, self.exponents, self.d
-        terms, pex_paper, pex_dual = _terms(self.rows, n - c, prime_used)
+        pex_paper = pex_dual = 0
+        for _, _, _, coeff in self.rows:
+            pex_paper = coeff - pex_paper * prime_used
+            pex_dual = pex_dual * prime_used + coeff
         deg_ab = prime_used ** (2 * n) * d  # deg_abelian_bound; p is checked by callers
         bound_paper = deg_ab * pex_paper
         bound_dual = deg_ab * pex_dual
@@ -285,24 +306,32 @@ class BoundShape(Frozen):
             flags.add(FLAG_UNIFORM_CHECKED)
             if exps[0] <= n:
                 flags.add(FLAG_E_BELOW_SIMPLE)
-        return BoundReport(n, c, exps, d, p_request, mode, self.threshold, prime_used,
-                           self.deg_cotangent, self.w_table, terms, pex_paper, pex_dual,
-                           deg_ab, bound_paper, bound_dual, frozenset(flags))
+        report = BoundReport(n, c, exps, d, p_request, mode, self.threshold, prime_used,
+                             self.deg_cotangent, self.w_table, None, pex_paper, pex_dual,
+                             deg_ab, bound_paper, bound_dual, frozenset(flags))
+        BoundReport.terms.__delete__(report)
+        _TermsSource._rows.__set__(report, self.rows)
+        return report
 
 
 def bound_shape(n, c, exponents, d):
     """Build and verify the p-free part of the torsion bound for one shape.
 
-    Runs the cotangent-degree integral check, the uniform specialization
-    check (constant exponents), w_table against the tangent Chern series
-    and, in both conventions, the closed form against the Segre route as
-    polynomials in p, each exactly once. The general closed form is always
-    built; for constant exponent sequences the uniform closed form is built
-    too, asserted against it row by row, and its rows (and w_table) are
-    kept. Every check is coefficient by coefficient.
+    Checks the exponents once and builds one tangent Chern series, of order
+    n - c. Runs each check once: the cotangent-degree integral (c_1 read
+    from that series), the uniform specialization (constant exponents),
+    w_table against that series and, in both conventions, the closed form
+    against the Segre route as polynomials in p, coefficient by coefficient.
+    For constant exponents the uniform closed form's rows and w_table are
+    kept.
     """
     exps = _validate_bound_shape(n, c, exponents, d)
-    deg_cot = deg_cotangent(n, c, exps, d)
+    dim = n - c
+    tangent = _normal_series(exps, dim).invert()  # one series for every check below
+    ti = math.prod(exps) * d  # top_integral
+    # deg_cotangent, c_1 of the cotangent bundle read as -c_1 of that series
+    deg_cot = check_routes("cotangent degree", ("closed form", sum(exps) * ti),
+                           ("integral", -tangent.coefficient(1) * ti))
     rows, w_table = _closed_form_rows(n, c, exps, d, False)
     scale = 1
     if len(set(exps)) == 1:
@@ -311,25 +340,14 @@ def bound_shape(n, c, exponents, d):
                      ("general", tuple(g[3] for g in rows)), "h={}")
         # the uniform table inverts (1+t)**c; t -> e*t gives prod(1 + e t)
         rows, w_table, scale = uniform, uniform_table, exps[0]
-    dim = n - c
-    tangent = chern_tangent(c, exps, dim)  # one series for every check below
     check_routes("w_table", ("closed form", tuple(w * scale**i for i, w in enumerate(w_table))),
                  ("tangent series", tangent.coefficients), "t**{}")
-    ti = math.prod(exps) * d  # top_integral, on exponents already checked
     for convention, sign in zip(CONVENTIONS, (-1, 1)):
         closed = tuple(rows[dim - m][3] * sign**m for m in range(dim + 1))
         check_routes(f"jet-bundle degree ({convention})", ("closed form", closed),
                      ("geometric", _pex_geometric(tangent, ti, convention)), "p**{}")
-    return BoundShape(
-        n=n,
-        c=c,
-        exponents=exps,
-        d=d,
-        threshold=(n - c) ** 2 * deg_cot,  # threshold_debarre, same deg_cot
-        deg_cotangent=deg_cot,
-        w_table=w_table,
-        rows=rows,
-    )
+    # the threshold is threshold_debarre's, from the same deg_cot
+    return BoundShape(n, c, exps, d, dim**2 * deg_cot, deg_cot, w_table, rows)
 
 
 def torsion_bound(inp):
@@ -346,17 +364,22 @@ def torsion_bound(inp):
 
 
 def _sweep(n, c, exps, d, lo, hi, mode):
-    # The reports at each admissible prime in [lo, hi], streamed, mode checked:
-    # the threshold validates the shape first, each candidate is tested once
-    # (odd ones past 2, as in next_prime), and the shape, built only if a
-    # prime exists, is verified before the first report.
+    # The reports at each admissible prime in [lo, hi], streamed, mode checked.
+    # Each candidate (odd past 2) is tested once as rows stream, so a range
+    # reaching the witness limit is refused first, by is_prime on its first
+    # candidate there, before any output; the shape is built and verified
+    # once a first prime is found.
     first = max(lo, threshold_debarre(n, c, exps, d) + 1)
-    primes = [2] if first <= 2 <= hi else []
-    primes += filter(is_prime, range(max(first, 3) | 1, hi + 1, 2))
-    if not primes:
+    start = max(first, 3) | 1
+    if max(start, DETERMINISTIC_LIMIT) <= hi:
+        is_prime(max(start, DETERMINISTIC_LIMIT))  # raises CapacityError
+    primes = filter(is_prime, itertools.chain([2] if first <= 2 <= hi else (),
+                                              range(start, hi + 1, 2)))
+    q = next(primes, None)
+    if q is None:
         return ()
     shape = bound_shape(n, c, exps, d)
-    return (shape._assemble(q, q, mode) for q in primes)
+    return (shape._assemble(p, p, mode) for p in itertools.chain((q,), primes))
 
 
 class SlopeChainReport(Frozen):
@@ -367,11 +390,7 @@ class SlopeChainReport(Frozen):
 
     @property
     def all_ok(self):
-        return (
-            self.above_degree_threshold
-            and self.above_semistable_bound
-            and self.slope_inequality
-        )
+        return self.above_degree_threshold and self.above_semistable_bound and self.slope_inequality
 
 
 def verify_slope_chain(n_dim, deg_omega, p):
@@ -385,14 +404,5 @@ def verify_slope_chain(n_dim, deg_omega, p):
     _check_prime(p)
     mu_min = Fraction(1, n_dim)
     mu_max = Fraction(deg_omega - 1)
-    return SlopeChainReport(
-        dim=n_dim,
-        deg_omega=deg_omega,
-        p=p,
-        threshold=threshold,
-        mu_min=mu_min,
-        mu_max=mu_max,
-        above_degree_threshold=p > threshold,
-        above_semistable_bound=p > 2 * n_dim - 1,
-        slope_inequality=(p + 1 - n_dim) * mu_min > n_dim * mu_max,
-    )
+    return SlopeChainReport(n_dim, deg_omega, p, threshold, mu_min, mu_max, p > threshold,
+                            p > 2 * n_dim - 1, (p + 1 - n_dim) * mu_min > n_dim * mu_max)

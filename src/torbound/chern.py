@@ -41,6 +41,11 @@ def chern_normal(c, exponents, order):
         raise ValidationError(f"exponents length {len(exps)} != c = {c}")
     for e in exps:
         check_int(e, "exponents >= 1 violated", low=1)
+    return _normal_series(exps, order)
+
+
+def _normal_series(exps, order):
+    # chern_normal on checked exponents
     coeffs = list(TruncatedSeries.one(order).coefficients)  # validates the order
     for k, e in enumerate(exps, start=1):
         for j in range(min(k, order), 0, -1):

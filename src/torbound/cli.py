@@ -29,20 +29,8 @@ from .primes import next_prime
 from .series import TruncatedSeries
 from .witt import FiniteField, WittRing
 
-CSV_COLUMNS = (
-    "n",
-    "c",
-    "e",
-    "degL",
-    "p",
-    "threshold",
-    "deg_pex_paper",
-    "deg_pex_dual",
-    "deg_abelian",
-    "bound_paper",
-    "bound_dual",
-    "flags",
-)
+CSV_COLUMNS = ("n", "c", "e", "degL", "p", "threshold", "deg_pex_paper", "deg_pex_dual",
+               "deg_abelian", "bound_paper", "bound_dual", "flags")
 
 EXIT_BROKEN_PIPE = 141
 
@@ -118,21 +106,11 @@ def report_json_line(report):
 
 @exact_digits()
 def report_csv_row(report):
-    values = {
-        "n": str(report.n),
-        "c": str(report.c),
-        "e": ";".join(str(e) for e in report.exponents),
-        "degL": str(report.d),
-        "p": str(report.prime_used),
-        "threshold": str(report.threshold),
-        "deg_pex_paper": str(report.deg_pex_paper),
-        "deg_pex_dual": str(report.deg_pex_dual),
-        "deg_abelian": str(report.deg_abelian),
-        "bound_paper": str(report.bound_paper),
-        "bound_dual": str(report.bound_dual),
-        "flags": ";".join(sorted(report.flags)),
-    }
-    return ",".join(values[col] for col in CSV_COLUMNS)
+    """Report as one CSV line, in CSV_COLUMNS order, read from its fields."""
+    r = report
+    return (f"{r.n},{r.c},{';'.join(map(str, r.exponents))},{r.d},{r.prime_used},"
+            f"{r.threshold},{r.deg_pex_paper},{r.deg_pex_dual},{r.deg_abelian},"
+            f"{r.bound_paper},{r.bound_dual},{';'.join(sorted(r.flags))}")
 
 
 @exact_digits()

@@ -121,8 +121,11 @@ def sym_elementary_table(values, j):
     p_i, so the table costs O(j * (j + len(values))) products instead of one
     per monomial. Entries beyond the number of values are 0.
     """
-    vals = _sym_values(values)
-    check_int(j, "symmetric-function degree must be >= 0", low=0)
+    return _elementary_table(_sym_values(values),
+                             check_int(j, "symmetric-function degree must be >= 0", low=0))
+
+
+def _elementary_table(vals, j):
     top = min(j, len(vals))
     power_sums = [None] + [sum(v**i for v in vals) for i in range(1, top + 1)]
     e = [1]
@@ -149,8 +152,11 @@ def sym_complete_table(values, i):
     O(k * i) products over k values, with no call to the composition kernel,
     so it stays an independent oracle for z_coeff.
     """
-    vals = _sym_values(values)
-    check_int(i, "symmetric-function degree must be >= 0", low=0)
+    return _complete_table(_sym_values(values),
+                           check_int(i, "symmetric-function degree must be >= 0", low=0))
+
+
+def _complete_table(vals, i):
     h = [1] + [0] * i  # h_0..h_i of the values seen so far
     for x in vals:
         for j in range(1, i + 1):

@@ -105,11 +105,11 @@ class Frozen:
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
-        if len(args) + len(kwargs) != len(fields) or not all(
-            name in kwargs for name in fields[len(args):]
-        ):
-            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-        if kwargs:
+        if kwargs or len(args) != len(fields):  # not every field given positionally
+            if len(args) + len(kwargs) != len(fields) or not all(
+                name in kwargs for name in fields[len(args):]
+            ):
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
             args += tuple(kwargs[name] for name in fields[len(args):])
         for set_field, value in zip(self._setters, args):
             set_field(self, value)

@@ -1,0 +1,181 @@
+"""A sweep row costs its arithmetic: each shape step runs once, a row computes
+only its two degree sums, a report builds its terms on read, and rows stream
+while the range is still being tested."""
+
+import copy
+import io
+import pickle
+import sys
+
+import pytest
+
+import torbound.bounds
+import torbound.chern
+import torbound.combinatorics
+import torbound.errors
+import torbound.primes
+from torbound import BoundInput, BoundReport, bound_shape, cli, torsion_bound
+from torbound.bounds import PexTerm
+from torbound.primes import DETERMINISTIC_LIMIT
+
+SHAPE = (12, 6, (1, 2, 3, 1, 2, 3), 2)
+
+
+def sweep_argv(n, c, exps, d, lo, hi, fmt="csv"):
+    return ["bound", "--n", str(n), "--c", str(c), "--e-list", ",".join(map(str, exps)),
+            "--degL", str(d), "--format", fmt, "--sweep-p", f"{lo}:{hi}"]
+
+
+def count_pex_terms(monkeypatch):
+    built = []
+    real = PexTerm.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        real(self, *args)
+
+    monkeypatch.setattr(PexTerm, "__init__", counted)
+    return built
+
+
+def test_csv_sweep_builds_no_pex_term(monkeypatch, capsys):
+    built = count_pex_terms(monkeypatch)
+    assert cli.main(sweep_argv(*SHAPE, 31105, 31400)) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) > 30
+    assert built == []
+
+
+def test_json_sweep_builds_the_terms_it_prints(monkeypatch, capsys):
+    built = count_pex_terms(monkeypatch)
+    assert cli.main(sweep_argv(*SHAPE, 31105, 31200, fmt="json")) == 0
+    rows = capsys.readouterr().out.splitlines()
+    dim = SHAPE[0] - SHAPE[1]
+    assert len(built) == len(rows) * (dim + 1)
+
+
+def unread_and_read(n, c, exps, d, p):
+    shape = bound_shape(n, c, exps, d)
+    unread, read = shape.report(p), shape.report(p)
+    assert read.terms == shape.terms(p)
+    return shape, unread, read
+
+
+@pytest.mark.parametrize("n, c, exps, d, p", [
+    (3, 2, (1, 2), 1, 7),
+    (4, 2, (2, 2), 1, 97),
+    (*SHAPE, 31139),
+])
+def test_unread_terms_are_the_same_value(n, c, exps, d, p):
+    shape, unread, read = unread_and_read(n, c, exps, d, p)
+    assert unread == read and hash(unread) == hash(read)
+    for make in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
+        shape, unread, read = unread_and_read(n, c, exps, d, p)
+        twin = make(unread)
+        assert type(twin) is BoundReport
+        assert twin == read and hash(twin) == hash(read)
+        assert twin.terms == unread.terms == shape.terms(p)
+    shape, unread, read = unread_and_read(n, c, exps, d, p)
+    assert repr(unread) == repr(read)
+    given = BoundReport(*(getattr(read, name) for name in BoundReport.__slots__))
+    assert given == unread and repr(given) == repr(unread)
+    assert pickle.loads(pickle.dumps(given)) == pickle.loads(pickle.dumps(unread))
+
+
+def test_reading_the_terms_builds_them_once(monkeypatch):
+    shape = bound_shape(*SHAPE)
+    report = shape.report(31139)
+    built = count_pex_terms(monkeypatch)
+    first = report.terms
+    assert len(built) == SHAPE[0] - SHAPE[1] + 1
+    assert report.terms is first and len(built) == SHAPE[0] - SHAPE[1] + 1
+    assert pickle.loads(pickle.dumps(report)).terms == first
+    # a second reader that found the slot unset while the first built it
+    # builds an equal tuple instead of failing
+    assert report.__getattr__("terms") == first
+    with pytest.raises(AttributeError, match="has no attribute 'termz'"):
+        report.termz
+
+
+def test_the_first_row_is_written_before_the_last_candidate_is_tested(monkeypatch):
+    out = io.StringIO()
+    rows_written = []   # data rows on stdout as each candidate is tested
+    real = torbound.bounds.is_prime
+
+    def counted(q):
+        rows_written.append(max(out.getvalue().count("\n") - 1, 0))
+        return real(q)
+
+    monkeypatch.setattr(torbound.bounds, "is_prime", counted)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(sweep_argv(*SHAPE, 31105, 31400)) == 0
+    assert rows_written[0] == 0 and rows_written[-1] > 0
+
+
+def test_a_range_across_the_witness_limit_writes_nothing(capsys):
+    # five primes lie below the limit, but the range is refused before any row
+    argv = ["bound", "--n", "2", "--c", "1", "--e", "1", "--degL", "1", "--format", "csv",
+            "--sweep-p", f"{DETERMINISTIC_LIMIT - 301}:{DETERMINISTIC_LIMIT + 5}"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {DETERMINISTIC_LIMIT} is beyond the "
+                                       f"deterministic witness range (< {DETERMINISTIC_LIMIT})\n")
+
+
+def test_bound_shape_makes_no_deg_cotangent_call(monkeypatch):
+    calls = []
+    for module in (torbound.bounds, torbound.chern):
+        real = module.deg_cotangent
+        monkeypatch.setattr(module, "deg_cotangent",
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    shape = bound_shape(*SHAPE)
+    assert calls == []
+    assert shape.deg_cotangent == sum(SHAPE[2]) * 36 * SHAPE[3]
+
+
+def test_bound_shape_checks_the_cotangent_degree_on_its_own_series(monkeypatch, capsys):
+    # c_1 is read from the order-(n - c) series, so corrupting it there fires
+    # the cotangent check, the first one bound_shape runs
+    real = torbound.bounds._normal_series
+
+    def corrupted(exps, order):
+        series = real(exps, order)
+        coeffs = list(series.coefficients)
+        coeffs[1] += 1
+        return torbound.TruncatedSeries(coeffs, order=order)
+
+    monkeypatch.setattr(torbound.bounds, "_normal_series", corrupted)
+    with pytest.raises(torbound.InternalConsistencyError, match="cotangent degree disagrees"):
+        bound_shape(*SHAPE)
+    assert cli.main(sweep_argv(*SHAPE, 31105, 31400)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal consistency failure: cotangent degree")
+
+
+def check_int_calls_per_exponent(monkeypatch, run, c=1000):
+    calls = []
+    real = torbound.errors.check_int
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (torbound.errors, torbound.bounds, torbound.chern,
+                   torbound.combinatorics, torbound.primes):
+        monkeypatch.setattr(module, "check_int", counted)
+    run(c + 4, c, (1,) * c, 1)
+    return len(calls) / c
+
+
+def test_bound_shape_checks_each_exponent_once(monkeypatch):
+    assert check_int_calls_per_exponent(monkeypatch, bound_shape) < 2
+
+
+def test_each_exponent_is_checked_at_most_five_times_per_report(monkeypatch):
+    def report(n, c, exps, d):
+        return torsion_bound(BoundInput(n, c, exps, d))
+
+    def explicit(n, c, exps, d):
+        return torsion_bound(BoundInput(n, c, exps, d, p=1000003))
+
+    assert check_int_calls_per_exponent(monkeypatch, report) < 6
+    assert check_int_calls_per_exponent(monkeypatch, explicit) < 6
