@@ -65,17 +65,18 @@ def _check_prime(p):
 def _column(convention):
     if convention not in CONVENTIONS:
         raise ValidationError("convention must be paper|dual")
-    return "term_" + convention
-
-
-def _column_sum(rows, column):
-    return sum(getattr(r, column) for r in rows)
+    return CONVENTIONS.index(convention)
 
 
 def threshold_debarre(n, c, exponents, d):
     """Prime threshold for the torsion bound: (n-c)**2 times the cotangent degree."""
     exps = _validate_bound_shape(n, c, exponents, d)
     return (n - c) ** 2 * deg_cotangent(n, c, exps, d)
+
+
+def _threshold(n, c, exps, d):
+    # threshold_debarre's closed form on checked exponents; bound_shape checks it
+    return (n - c) ** 2 * sum(exps) * math.prod(exps) * d
 
 
 def threshold_lemma_p(n_dim, deg_omega):
@@ -138,6 +139,15 @@ def _terms(rows, dim, p):
     return tuple(terms)
 
 
+def _degree_sums(rows, p):
+    # (paper, dual) degree of p-free rows at p: Horner's rule at -p and at p
+    paper = dual = 0
+    for _, _, _, coeff in rows:
+        paper = coeff - paper * p
+        dual = dual * p + coeff
+    return paper, dual
+
+
 def pex_closed_form_uniform(n, c, e, d, p, convention):
     """Jet-bundle degree, literal alternating-sum closed form, equal exponents."""
     check_int(c, "1 <= c <= n-1 violated")  # before the tuple repetition
@@ -145,7 +155,7 @@ def pex_closed_form_uniform(n, c, e, d, p, convention):
     _check_prime(p)
     column = _column(convention)
     rows, _ = _closed_form_rows(n, c, exps, d, True)
-    return _column_sum(_terms(rows, n - c, p), column)
+    return _degree_sums(rows, p)[column]
 
 
 def pex_closed_form_general(n, c, exponents, d, p, convention):
@@ -154,7 +164,7 @@ def pex_closed_form_general(n, c, exponents, d, p, convention):
     _check_prime(p)
     column = _column(convention)
     rows, _ = _closed_form_rows(n, c, exps, d, False)
-    return _column_sum(_terms(rows, n - c, p), column)
+    return _degree_sums(rows, p)[column]
 
 
 def _pex_geometric(tangent, ti, convention):
@@ -188,10 +198,12 @@ def pex_terms(n, c, exponents, d, p):
 def deg_pex(n, c, exponents, d, p, convention):
     """Jet-bundle degree under one sign convention: a column sum of pex_terms.
 
-    pex_terms checks both columns against the Segre-series route.
+    bound_shape checks both columns against the Segre-series route.
     """
     column = _column(convention)
-    return _column_sum(pex_terms(n, c, exponents, d, p), column)
+    exps = _validate_bound_shape(n, c, exponents, d)
+    _check_prime(p)
+    return _degree_sums(bound_shape(n, c, exps, d).rows, p)[column]
 
 
 def deg_abelian_bound(n, d, p):
@@ -227,7 +239,7 @@ class BoundInput(Frozen):
         if mode not in MODES:
             raise ValidationError("mode must be paper|dual|both")
         if p != "auto":
-            _validate_prime(p, threshold_debarre(n, c, exps, d))
+            _validate_prime(p, _threshold(n, c, exps, d))
         super().__init__(n, c, exps, d, p, mode)
 
     @property
@@ -290,12 +302,9 @@ class BoundShape(Frozen):
 
     def _assemble(self, p_request, prime_used, mode):
         # the report at an admissible prime_used, mode checked, its terms left
-        # to build on read: the degree sums by Horner's rule at -p and at p
+        # to build on read
         n, c, exps, d = self.n, self.c, self.exponents, self.d
-        pex_paper = pex_dual = 0
-        for _, _, _, coeff in self.rows:
-            pex_paper = coeff - pex_paper * prime_used
-            pex_dual = pex_dual * prime_used + coeff
+        pex_paper, pex_dual = _degree_sums(self.rows, prime_used)
         deg_ab = prime_used ** (2 * n) * d  # deg_abelian_bound; p is checked by callers
         bound_paper = deg_ab * pex_paper
         bound_dual = deg_ab * pex_dual
@@ -346,7 +355,7 @@ def bound_shape(n, c, exponents, d):
         closed = tuple(rows[dim - m][3] * sign**m for m in range(dim + 1))
         check_routes(f"jet-bundle degree ({convention})", ("closed form", closed),
                      ("geometric", _pex_geometric(tangent, ti, convention)), "p**{}")
-    # the threshold is threshold_debarre's, from the same deg_cot
+    # the threshold is threshold_debarre's, from the checked deg_cot
     return BoundShape(n, c, exps, d, dim**2 * deg_cot, deg_cot, w_table, rows)
 
 
@@ -359,7 +368,7 @@ def torsion_bound(inp):
     # p was checked against the threshold by BoundInput
     prime_used = inp.p
     if prime_used == "auto":
-        prime_used = next_prime(threshold_debarre(n, c, exps, d))
+        prime_used = next_prime(_threshold(n, c, exps, d))
     return bound_shape(n, c, exps, d)._assemble(inp.p, prime_used, inp.mode)
 
 
@@ -369,7 +378,8 @@ def _sweep(n, c, exps, d, lo, hi, mode):
     # reaching the witness limit is refused first, by is_prime on its first
     # candidate there, before any output; the shape is built and verified
     # once a first prime is found.
-    first = max(lo, threshold_debarre(n, c, exps, d) + 1)
+    exps = _validate_bound_shape(n, c, exps, d)
+    first = max(lo, _threshold(n, c, exps, d) + 1)
     start = max(first, 3) | 1
     if max(start, DETERMINISTIC_LIMIT) <= hi:
         is_prime(max(start, DETERMINISTIC_LIMIT))  # raises CapacityError

@@ -5,9 +5,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torbound.bounds
 import torbound.chern
+import torbound.primes
 from torbound.bounds import PexTerm
 from torbound import (
     BoundInput,
@@ -282,6 +285,20 @@ class TestCrossChecksFire:
         monkeypatch.setattr(torbound.chern, "cotangent_chern", corrupted)
         with pytest.raises(InternalConsistencyError, match="cotangent degree disagrees"):
             deg_cotangent(4, 2, (2, 2), 1)
+        argv = ["threshold", "--kind", "debarre", "--n", "4", "--c", "2", "--e", "2",
+                "--degL", "1"]
+        assert cli.main(argv) == 3
+        assert "cotangent degree disagrees" in capsys.readouterr().err
+        # a report reads c_1 from the shape's own normal series, not from
+        # cotangent_chern, so corrupt that route too
+        real_normal = torbound.bounds._normal_series
+
+        def corrupted_normal(exps, order):
+            coeffs = list(real_normal(exps, order).coefficients)
+            coeffs[1] += 1
+            return TruncatedSeries(coeffs, order=order)
+
+        monkeypatch.setattr(torbound.bounds, "_normal_series", corrupted_normal)
         self.assert_fires(capsys, "cotangent degree disagrees")
 
     def test_uniform_route(self, monkeypatch, capsys):
@@ -540,6 +557,50 @@ def test_rows_evaluate_to_the_literal_powers(p):
             assert reported == term
         assert report.deg_pex_paper == sum(t.term_paper for t in report.terms)
         assert report.deg_pex_dual == sum(t.term_dual for t in report.terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 31741, 10**20 + 39])
+def test_degree_functions_build_no_pex_term(monkeypatch, p):
+    # deg_pex and both closed forms evaluate rows by one rule, with no term table
+    expected = {}
+    for n, c, exps, d in TestBoundShape.SHAPES:
+        terms = pex_terms(n, c, exps, d, p)
+        expected[n, c, exps, d] = {"paper": sum(t.term_paper for t in terms),
+                                   "dual": sum(t.term_dual for t in terms)}
+    built = []
+    real = PexTerm.__init__
+    monkeypatch.setattr(PexTerm, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    for (n, c, exps, d), sums in expected.items():
+        for conv, value in sums.items():
+            assert deg_pex(n, c, exps, d, p, conv) == value
+            assert pex_closed_form_general(n, c, exps, d, p, conv) == value
+            if len(set(exps)) == 1:
+                assert pex_closed_form_uniform(n, c, exps[0], d, p, conv) == value
+    assert built == []
+    with pytest.raises(ValidationError, match="convention"):
+        deg_pex(2, 1, (2,), 1, 6, "mixed")
+
+
+@given(st.integers(1, 4), st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_the_closed_form_threshold_is_the_checked_one(dim, extra, data):
+    c = dim + extra
+    n, d = dim + c, data.draw(st.integers(1, 3))
+    exps = tuple(data.draw(st.lists(st.integers(1, 4), min_size=c, max_size=c)))
+    t = threshold_debarre(n, c, exps, d)
+    shape = bound_shape(n, c, exps, d)
+    auto = torsion_bound(BoundInput(n, c, exps, d))
+    assert auto.threshold == t == shape.threshold
+    q = next_prime(t)
+    assert auto.prime_used == q and BoundInput(n, c, exps, d, p=q).p == q
+    below = next((k for k in range(t, 1, -1) if torbound.primes.is_prime(k)), None)
+    if below is not None:
+        message = f"p > threshold violated (threshold {t})"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            BoundInput(n, c, exps, d, p=below)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            shape.report(below)
 
 
 class TestRefusalsComeFirst:

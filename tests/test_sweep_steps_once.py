@@ -2,6 +2,7 @@
 only its two degree sums, a report builds its terms on read, and rows stream
 while the range is still being tested."""
 
+import contextlib
 import copy
 import io
 import pickle
@@ -179,3 +180,34 @@ def test_each_exponent_is_checked_at_most_five_times_per_report(monkeypatch):
 
     assert check_int_calls_per_exponent(monkeypatch, report) < 6
     assert check_int_calls_per_exponent(monkeypatch, explicit) < 6
+
+
+def report_auto(n, c, exps, d):
+    return torsion_bound(BoundInput(n, c, exps, d))
+
+
+def report_explicit(n, c, exps, d):
+    return torsion_bound(BoundInput(n, c, exps, d, p=1000003))
+
+
+def csv_sweep(n, c, exps, d):
+    # at c = 1000 the threshold is 16 * 1000 = 16000; the range holds primes
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(sweep_argv(n, c, exps, d, 15900, 16200)) == 0
+    assert out.getvalue().count("\n") > 10
+
+
+@pytest.mark.parametrize("run", [report_auto, report_explicit, csv_sweep])
+def test_the_bound_path_computes_its_threshold_once(monkeypatch, run):
+    # the threshold comes from its closed form, and bound_shape runs its
+    # two-route check: no threshold_debarre, deg_cotangent or order-1 series
+    calls = []
+    for module, name in [(torbound.bounds, "threshold_debarre"),
+                         (torbound.bounds, "deg_cotangent"),
+                         (torbound.chern, "cotangent_chern")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert check_int_calls_per_exponent(monkeypatch, run) < 3  # twice per exponent
+    assert calls == []
