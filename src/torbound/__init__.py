@@ -2,6 +2,8 @@
 varieties, plus the series, combinatorics, and Witt-vector machinery the
 bounds are verified against."""
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundInput,
     BoundReport,
@@ -45,47 +47,6 @@ from .witt import FiniteField, FqElement, WittPair, WittRing, carry_coefficients
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundInput",
-    "BoundReport",
-    "BoundShape",
-    "CapacityError",
-    "CompositionMultiset",
-    "DETERMINISTIC_LIMIT",
-    "FiniteField",
-    "FqElement",
-    "InternalConsistencyError",
-    "PexTerm",
-    "SlopeChainReport",
-    "TruncatedSeries",
-    "ValidationError",
-    "WittPair",
-    "WittRing",
-    "bound_shape",
-    "carry_coefficients",
-    "chern_normal",
-    "chern_tangent",
-    "cotangent_chern",
-    "deg_abelian_bound",
-    "deg_cotangent",
-    "deg_pex",
-    "enumerate_compositions",
-    "frobenius_scale",
-    "inverse_series_coeff",
-    "is_prime",
-    "next_prime",
-    "pex_closed_form_general",
-    "pex_closed_form_uniform",
-    "pex_terms",
-    "segre_cotangent",
-    "signed_multinomial",
-    "sym_complete",
-    "sym_elementary",
-    "threshold_debarre",
-    "threshold_lemma_p",
-    "top_integral",
-    "torsion_bound",
-    "verify_slope_chain",
-    "w_coeff",
-    "z_coeff",
-]
+# the public names are the ones imported above, less the submodules
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -18,9 +18,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .chern import _normal_series, _validate_geometry, deg_cotangent
+from .chern import (_check_codimension, _checked_cotangent_degree, _normal_series,
+                    _validate_geometry, deg_cotangent)
 from .combinatorics import _complete_table, _elementary_table
-from .errors import CapacityError, Frozen, ValidationError, check_int, check_routes
+from .errors import Frozen, ValidationError, check_cap, check_int, check_routes
 from .primes import DETERMINISTIC_LIMIT, is_prime, next_prime
 
 CONVENTIONS = ("paper", "dual")
@@ -44,15 +45,16 @@ MAX_BOUND_BITS = 513 * 2048
 
 
 def _validate_bound_shape(n, c, exponents, d):
+    _check_codimension(n, c)
+    # n - c >= 1 and every bit length is >= 1, so the size below is at least
+    # 2 * (c + 1): a c the cap cannot admit is refused before any exponent is read
+    check_cap(2 * (c + 1), MAX_BOUND_BITS, "bound size")
     exps = _validate_geometry(n, c, exponents, d)
     if 2 * c < n:
         raise ValidationError("2c >= n violated")
-    dim = n - c
-    if dim > MAX_BOUND_DIMENSION:
-        raise CapacityError(f"bound dimension cap exceeded ({MAX_BOUND_DIMENSION})")
+    dim = check_cap(n - c, MAX_BOUND_DIMENSION, "bound dimension")
     bits = [e.bit_length() for e in exps]
-    if (dim + 1) * (dim * max(bits) + sum(bits)) > MAX_BOUND_BITS:
-        raise CapacityError(f"bound size cap exceeded ({MAX_BOUND_BITS})")
+    check_cap((dim + 1) * (dim * max(bits) + sum(bits)), MAX_BOUND_BITS, "bound size")
     return exps
 
 
@@ -90,14 +92,6 @@ class PexTerm(Frozen):
     """One h-indexed row of the jet-bundle degree sum, both conventions."""
 
     __slots__ = ("h", "binom_coeff", "inner_sum", "term_paper", "term_dual")
-
-    def __init__(self, h, binom_coeff, inner_sum, term_paper, term_dual):
-        set_h, set_binom, set_inner, set_paper, set_dual = self._setters
-        set_h(self, h)
-        set_binom(self, binom_coeff)
-        set_inner(self, inner_sum)
-        set_paper(self, term_paper)
-        set_dual(self, term_dual)
 
 
 def _closed_form_rows(n, c, exps, d, uniform):
@@ -150,20 +144,20 @@ def _degree_sums(rows, p):
 
 def pex_closed_form_uniform(n, c, e, d, p, convention):
     """Jet-bundle degree, literal alternating-sum closed form, equal exponents."""
-    check_int(c, "1 <= c <= n-1 violated")  # before the tuple repetition
-    exps = _validate_bound_shape(n, c, (e,) * c, d)
-    _check_prime(p)
-    column = _column(convention)
-    rows, _ = _closed_form_rows(n, c, exps, d, True)
-    return _degree_sums(rows, p)[column]
+    check_int(c, "1 <= c <= n-1 violated")  # itertools.repeat takes only an int c
+    return _pex_closed_form(n, c, itertools.repeat(e, c), d, p, convention, True)
 
 
 def pex_closed_form_general(n, c, exponents, d, p, convention):
     """Jet-bundle degree, closed form for arbitrary exponent sequences."""
+    return _pex_closed_form(n, c, exponents, d, p, convention, False)
+
+
+def _pex_closed_form(n, c, exponents, d, p, convention, uniform):
     exps = _validate_bound_shape(n, c, exponents, d)
     _check_prime(p)
     column = _column(convention)
-    rows, _ = _closed_form_rows(n, c, exps, d, False)
+    rows, _ = _closed_form_rows(n, c, exps, d, uniform)
     return _degree_sums(rows, p)[column]
 
 
@@ -339,8 +333,7 @@ def bound_shape(n, c, exponents, d):
     tangent = _normal_series(exps, dim).invert()  # one series for every check below
     ti = math.prod(exps) * d  # top_integral
     # deg_cotangent, c_1 of the cotangent bundle read as -c_1 of that series
-    deg_cot = check_routes("cotangent degree", ("closed form", sum(exps) * ti),
-                           ("integral", -tangent.coefficient(1) * ti))
+    deg_cot = _checked_cotangent_degree(exps, ti, -tangent.coefficient(1))
     rows, w_table = _closed_form_rows(n, c, exps, d, False)
     scale = 1
     if len(set(exps)) == 1:

@@ -16,14 +16,23 @@ from .series import TruncatedSeries
 
 
 def _validate_geometry(n, c, exponents, d):
+    _check_codimension(n, c)
+    exps = _check_exponents(c, exponents)
+    check_int(d, "degL >= 1 violated", low=1)
+    return exps
+
+
+def _check_codimension(n, c):
     check_int(n, "n >= 2 violated", low=2)
     check_int(c, "1 <= c <= n-1 violated", low=1, high=n - 1)
+
+
+def _check_exponents(c, exponents):
     exps = tuple(exponents)
     if len(exps) != c:
         raise ValidationError(f"exponents length {len(exps)} != c = {c}")
     for e in exps:
         check_int(e, "exponents >= 1 violated", low=1)
-    check_int(d, "degL >= 1 violated", low=1)
     return exps
 
 
@@ -36,12 +45,7 @@ def chern_normal(c, exponents, order):
     belongs to the closed-form route. O(order) products per factor.
     """
     check_int(c, "c must be >= 1", low=1)
-    exps = tuple(exponents)
-    if len(exps) != c:
-        raise ValidationError(f"exponents length {len(exps)} != c = {c}")
-    for e in exps:
-        check_int(e, "exponents >= 1 violated", low=1)
-    return _normal_series(exps, order)
+    return _normal_series(_check_exponents(c, exponents), order)
 
 
 def _normal_series(exps, order):
@@ -106,5 +110,10 @@ def deg_cotangent(n, c, exponents, d):
     """
     exps = _validate_geometry(n, c, exponents, d)
     top = math.prod(exps) * d  # top_integral, on exponents already checked
+    return _checked_cotangent_degree(exps, top, cotangent_chern(c, exps, 1).coefficient(1))
+
+
+def _checked_cotangent_degree(exps, top, c1):
+    # deg_cotangent's two routes on checked exponents, top their top_integral
     return check_routes("cotangent degree", ("closed form", sum(exps) * top),
-                        ("integral", cotangent_chern(c, exps, 1).coefficient(1) * top))
+                        ("integral", c1 * top))

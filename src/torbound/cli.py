@@ -11,6 +11,7 @@ invocation.
 
 import argparse
 import functools
+import itertools
 import json
 import operator
 import os
@@ -18,13 +19,7 @@ import sys
 
 from .bounds import BoundInput, _sweep, threshold_debarre, threshold_lemma_p, torsion_bound
 from .combinatorics import check_weight, w_coeff, z_coeff
-from .errors import (
-    CapacityError,
-    InternalConsistencyError,
-    ValidationError,
-    check_int,
-    exact_digits,
-)
+from .errors import InternalConsistencyError, ValidationError, check_cap, check_int, exact_digits
 from .primes import next_prime
 from .series import TruncatedSeries
 from .witt import FiniteField, WittRing
@@ -51,8 +46,8 @@ def _int_list(text, what):
 def _exponents(args):
     if args.e is not None and args.e_list is not None:
         raise ValidationError("give either --e or --e-list, not both")
-    if args.e is not None:
-        return (args.e,) * args.c
+    if args.e is not None:  # read once, after c is checked
+        return itertools.repeat(args.e, args.c)
     if args.e_list is not None:
         return _int_list(args.e_list, "--e-list")
     raise ValidationError("one of --e or --e-list is required")
@@ -175,8 +170,7 @@ def _cmd_bound(args):
             raise ValidationError("--sweep-p bounds must be integers") from None
         if lo < 0 or hi < lo:
             raise ValidationError("--sweep-p needs 0 <= FROM <= TO")
-        if hi - lo > MAX_SWEEP_WIDTH:
-            raise CapacityError(f"sweep range cap exceeded ({MAX_SWEEP_WIDTH})")
+        check_cap(hi - lo, MAX_SWEEP_WIDTH, "sweep range")
         reports = _sweep(args.n, args.c, exps, args.degL, lo, hi, args.mode)
         _emit_reports(reports, args.format, sys.stdout)
         return 0

@@ -12,7 +12,7 @@ and complete symmetric tables instead, which are polynomial in the degree.
 
 import math
 
-from .errors import CapacityError, Frozen, InternalConsistencyError, ValidationError, check_int
+from .errors import Frozen, InternalConsistencyError, ValidationError, check_cap, check_int
 
 # Enumeration is exponential in the weight (partition count); anything past
 # this cap is a sign the caller is misusing a desk-scale tool.
@@ -21,11 +21,7 @@ MAX_COMPOSITION_WEIGHT = 64
 
 def check_weight(m, message):
     """m as a composition weight: an int >= 0 (else message), at most the cap."""
-    if check_int(m, message, low=0) > MAX_COMPOSITION_WEIGHT:
-        raise CapacityError(
-            f"composition weight cap exceeded ({MAX_COMPOSITION_WEIGHT})"
-        )
-    return m
+    return check_cap(check_int(m, message, low=0), MAX_COMPOSITION_WEIGHT, "composition weight")
 
 
 class CompositionMultiset(Frozen):

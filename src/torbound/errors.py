@@ -1,6 +1,6 @@
 """Exception types shared across the package, its one integer rule, its
-one two-route rule, its one immutable-value base and its one rule for
-printing big integers.
+one cap rule, its one two-route rule, its one immutable-value base and its
+one rule for printing big integers.
 
 Validation failures and internal consistency failures are kept distinct so
 callers (and the CLI exit-code mapping) can tell bad input apart from a bug
@@ -9,6 +9,7 @@ in the arithmetic itself.
 
 import functools
 import sys
+import threading
 
 
 class ValidationError(ValueError):
@@ -31,32 +32,59 @@ def check_int(value, message, low=None, high=None):
     return value
 
 
+def check_cap(value, cap, what):
+    """The package's cap rule: value is at most cap.
+
+    Returns value, or raises CapacityError("<what> cap exceeded (<cap>)").
+    """
+    if value > cap:
+        raise CapacityError(f"{what} cap exceeded ({cap})")
+    return value
+
+
+class _Depth(threading.local):
+    depth = 0  # exact_digits blocks this thread has open
+
+
 class exact_digits:
     """Print exact integers of any length: lift CPython's 4300-digit
-    int-to-str limit for a with-block or a decorated call and restore it
-    afterwards; each entry saves its own limit, so blocks and calls nest."""
+    int-to-str limit for a with-block or a decorated call. The limit is the
+    interpreter's, so one lift serves every thread: the first thread in saves
+    and lifts it, the last one out restores it. Blocks and calls nest."""
 
-    __slots__ = ("_limits",)
-
-    def __init__(self):
-        self._limits = []
+    __slots__ = ()
+    _lock = threading.Lock()
+    _held = [0, None]  # threads inside a block, and the limit the first one found
+    _local = _Depth()
 
     def __enter__(self):
-        self._limits.append(sys.get_int_max_str_digits())
-        sys.set_int_max_str_digits(0)
+        if not self._local.depth:
+            with self._lock:
+                held = self._held
+                if not held[0]:
+                    held[1] = sys.get_int_max_str_digits()
+                    sys.set_int_max_str_digits(0)
+                held[0] += 1
+        self._local.depth += 1
 
     def __exit__(self, *exc_info):
-        sys.set_int_max_str_digits(self._limits.pop())
+        self._local.depth -= 1
+        if not self._local.depth:
+            with self._lock:
+                held = self._held
+                held[0] -= 1
+                if not held[0]:
+                    sys.set_int_max_str_digits(held[1])
 
     def __call__(self, fn):
+        local = self._local
+
         @functools.wraps(fn)
         def exact(*args, **kwargs):
-            limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-            try:
+            if local.depth:  # this thread holds the lift: the per-row case
                 return fn(*args, **kwargs)
-            finally:
-                sys.set_int_max_str_digits(limit)
+            with self:
+                return fn(*args, **kwargs)
         return exact
 
 

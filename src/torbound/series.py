@@ -9,7 +9,7 @@ variety of dimension N, with l a fixed polarization, is a series of order N.
 
 from fractions import Fraction
 
-from .errors import CapacityError, Frozen, ValidationError, check_int
+from .errors import Frozen, ValidationError, check_cap, check_int
 
 # Inversion and products are quadratic in the order: inverting (1, 1) at
 # order 4000 takes about 0.7 s (2-vCPU Xeon, CPython 3.11).
@@ -37,8 +37,8 @@ class TruncatedSeries(Frozen):
             if not coeffs:
                 raise ValidationError("series needs at least the constant coefficient")
             order = len(coeffs) - 1
-        if check_int(order, "series order must be >= 0", low=0) > MAX_SERIES_ORDER:
-            raise CapacityError(f"series order cap exceeded ({MAX_SERIES_ORDER})")
+        check_cap(check_int(order, "series order must be >= 0", low=0), MAX_SERIES_ORDER,
+                  "series order")
         if len(coeffs) > order + 1:
             raise ValidationError(
                 f"got {len(coeffs)} coefficients for order {order}; refusing to truncate"

@@ -19,7 +19,7 @@ Zech-log tables over a primitive element once, so its arithmetic is lookups.
 import itertools
 import math
 
-from .errors import CapacityError, Frozen, ValidationError, check_int
+from .errors import Frozen, ValidationError, check_cap, check_int
 from .primes import is_prime
 
 # the documented range of the carry: the exact binomials of carry_coefficients
@@ -39,7 +39,7 @@ def carry_coefficients(p):
     -sum c_k X^k Y^(p-k); each division must be exact, and is asserted."""
     if not is_prime(p):
         raise ValidationError("characteristic must be prime")
-    _check_carry_cap(p)
+    check_cap(p, _CARRY_CAP, "carry characteristic")
     out = []
     for k in range(1, p):
         b = math.comb(p, k)
@@ -47,11 +47,6 @@ def carry_coefficients(p):
             raise ValidationError(f"binom({p},{k}) not divisible by {p}")
         out.append(b // p)
     return tuple(out)
-
-
-def _check_carry_cap(p):
-    if p > _CARRY_CAP:
-        raise CapacityError(f"carry characteristic cap exceeded ({_CARRY_CAP})")
 
 
 def _digits(index, p, f):
@@ -91,9 +86,9 @@ class FiniteField(Frozen):
         if mod[-1] != 1:
             raise ValidationError("extension modulus must be monic")
         f = len(mod) - 1
-        # past that many digits, 2**f alone is above the cap
-        if f > _FIELD_TABLE_CAP.bit_length() or p**f > _FIELD_TABLE_CAP:
-            raise CapacityError(f"field table cap exceeded ({_FIELD_TABLE_CAP})")
+        # f past the cap's bit length is above the cap already at p = 2, so the
+        # power stops there instead of computing a huge p**f
+        check_cap(p ** min(f, _FIELD_TABLE_CAP.bit_length()), _FIELD_TABLE_CAP, "field table")
         from . import fieldtables  # loaded with the first extension field
 
         if not fieldtables.is_irreducible(mod, p):
@@ -281,7 +276,7 @@ class WittRing(Frozen):
         if not isinstance(field, FiniteField):
             raise ValidationError("expected a FiniteField")
         if field.degree == 1:  # the F_p carry reads no coefficients
-            _check_carry_cap(field.p)
+            check_cap(field.p, _CARRY_CAP, "carry characteristic")
             coeffs = None
         else:  # c_k lies in the prime field, whose indices are 0..p-1
             coeffs = tuple(ck % field.p for ck in carry_coefficients(field.p))
