@@ -11,7 +11,7 @@ codimension j.
 import math
 
 from .combinatorics import inverse_series_coeff
-from .errors import ValidationError, check_int, check_routes
+from .errors import ValidationError, check_int, check_ints, check_routes, check_tuple
 from .series import TruncatedSeries
 
 
@@ -28,12 +28,10 @@ def _check_codimension(n, c):
 
 
 def _check_exponents(c, exponents):
-    exps = tuple(exponents)
-    if len(exps) != c:
+    exps = check_tuple(exponents, "exponents >= 1 violated")
+    if len(exps) != c:  # the length before the entries
         raise ValidationError(f"exponents length {len(exps)} != c = {c}")
-    for e in exps:
-        check_int(e, "exponents >= 1 violated", low=1)
-    return exps
+    return check_ints(exps, "exponents >= 1 violated", low=1)
 
 
 def chern_normal(c, exponents, order):

@@ -12,7 +12,9 @@ and complete symmetric tables instead, which are polynomial in the degree.
 
 import math
 
-from .errors import Frozen, InternalConsistencyError, ValidationError, check_cap, check_int
+from .errors import (Frozen, InternalConsistencyError, ValidationError, check_cap, check_int,
+                     check_ints, check_tuple)
+from .series import _check_scalars
 
 # Enumeration is exponential in the weight (partition count); anything past
 # this cap is a sign the caller is misusing a desk-scale tool.
@@ -30,7 +32,7 @@ class CompositionMultiset(Frozen):
     __slots__ = ("multiplicities",)
 
     def __init__(self, multiplicities):
-        mults = tuple(multiplicities)
+        mults = check_tuple(multiplicities, "multiplicities must be ints")
         for r in mults:
             if type(r) is not int:  # exact ints skip the call: runs per enumerated part
                 check_int(r, "multiplicities must be ints")
@@ -81,7 +83,7 @@ def enumerate_compositions(m):
 def _mults(beta):
     if isinstance(beta, CompositionMultiset):
         return beta.multiplicities
-    return CompositionMultiset(tuple(beta)).multiplicities
+    return CompositionMultiset(beta).multiplicities
 
 
 def signed_multinomial(beta):
@@ -106,10 +108,6 @@ def w_coeff(m, c):
     return inverse_series_coeff(tuple(math.comb(c, j) for j in range(1, m + 1)), m)
 
 
-def _sym_values(values):
-    return tuple(check_int(v, "symmetric-function values must be ints") for v in values)
-
-
 def sym_elementary_table(values, j):
     """Elementary symmetric polynomials e_0..e_j, by Newton's identities.
 
@@ -117,7 +115,7 @@ def sym_elementary_table(values, j):
     p_i, so the table costs O(j * (j + len(values))) products instead of one
     per monomial. Entries beyond the number of values are 0.
     """
-    return _elementary_table(_sym_values(values),
+    return _elementary_table(check_ints(values, "symmetric-function values must be ints"),
                              check_int(j, "symmetric-function degree must be >= 0", low=0))
 
 
@@ -148,7 +146,7 @@ def sym_complete_table(values, i):
     O(k * i) products over k values, with no call to the composition kernel,
     so it stays an independent oracle for z_coeff.
     """
-    return _complete_table(_sym_values(values),
+    return _complete_table(check_ints(values, "symmetric-function values must be ints"),
                            check_int(i, "symmetric-function degree must be >= 0", low=0))
 
 
@@ -174,7 +172,7 @@ def z_coeff(i, c, exponents):
     """
     check_weight(i, "i must be >= 0")
     check_int(c, "c must be >= 1", low=1)
-    exps = tuple(exponents)
+    exps = check_tuple(exponents, "symmetric-function values must be ints")
     if len(exps) != c:
         raise ValidationError(f"exponent sequence length {len(exps)} != c = {c}")
     return inverse_series_coeff(sym_elementary_table(exps, i)[1:], i)
@@ -191,7 +189,7 @@ def inverse_series_coeff(head, m):
     agreement is a standing test, not an assumption.
     """
     check_weight(m, "m must be >= 0")
-    a = tuple(head)
+    a = _check_scalars(head)
     if len(a) < m:
         raise ValidationError(f"head too short: need {m} coefficients, got {len(a)}")
     total = 0

@@ -1,6 +1,6 @@
 """Exception types shared across the package, its one integer rule, its
-one cap rule, its one two-route rule, its one immutable-value base and its
-one rule for printing big integers.
+one sequence rule, its one cap rule, its one two-route rule, its one
+immutable-value base and its one rule for printing big integers.
 
 Validation failures and internal consistency failures are kept distinct so
 callers (and the CLI exit-code mapping) can tell bad input apart from a bug
@@ -30,6 +30,25 @@ def check_int(value, message, low=None, high=None):
     ):
         raise ValidationError(message)
     return value
+
+
+def check_tuple(values, message):
+    """values, any iterable, as a tuple, or ValidationError(message) when it is
+    not iterable: check_ints' first step, for a site that reads its length first."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise ValidationError(message) from None
+    return tuple(entries)
+
+
+def check_ints(values, message, low=None):
+    """The package's sequence rule: check_tuple(values, message), each entry
+    then passing check_int(entry, message, low); no fast path. Returns the tuple."""
+    values = check_tuple(values, message)
+    for value in values:
+        check_int(value, message, low)
+    return values
 
 
 def check_cap(value, cap, what):

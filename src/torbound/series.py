@@ -9,17 +9,20 @@ variety of dimension N, with l a fixed polarization, is a series of order N.
 
 from fractions import Fraction
 
-from .errors import Frozen, ValidationError, check_cap, check_int
+from .errors import Frozen, ValidationError, check_cap, check_int, check_tuple, exact_digits
 
 # Inversion and products are quadratic in the order: inverting (1, 1) at
 # order 4000 takes about 0.7 s (2-vCPU Xeon, CPython 3.11).
 MAX_SERIES_ORDER = 4000
 
 
-def _check_scalar(x):
-    if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
-        raise ValidationError(f"coefficients must be int or Fraction, got {type(x).__name__}")
-    return x
+def _check_scalars(values):
+    # the scalar rule: values, any iterable, as a tuple of ints and Fractions
+    values = check_tuple(values, "coefficients must be a sequence of int or Fraction")
+    for x in values:
+        if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+            raise ValidationError(f"coefficients must be int or Fraction, got {type(x).__name__}")
+    return values
 
 
 class TruncatedSeries(Frozen):
@@ -32,7 +35,7 @@ class TruncatedSeries(Frozen):
     __slots__ = ("order", "coefficients")
 
     def __init__(self, coefficients, order=None):
-        coeffs = tuple(_check_scalar(a) for a in coefficients)
+        coeffs = _check_scalars(coefficients)
         if order is None:
             if not coeffs:
                 raise ValidationError("series needs at least the constant coefficient")
@@ -109,11 +112,12 @@ class TruncatedSeries(Frozen):
 
     def scale_variable(self, factor):
         """Substitute t -> factor*t: coefficient j picks up factor**j."""
-        _check_scalar(factor)
+        _check_scalars((factor,))
         return TruncatedSeries(
             tuple(a * factor**j for j, a in enumerate(self.coefficients)),
             order=self.order,
         )
 
+    @exact_digits()
     def __repr__(self):
         return f"TruncatedSeries({self.coefficients!r})"

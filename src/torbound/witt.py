@@ -19,14 +19,13 @@ Zech-log tables over a primitive element once, so its arithmetic is lookups.
 import itertools
 import math
 
-from .errors import Frozen, ValidationError, check_cap, check_int
+from .errors import Frozen, ValidationError, check_cap, check_int, check_ints
 from .primes import is_prime
 
-# the documented range of the carry: the exact binomials of carry_coefficients
-# grow like p**2.7 (p = 2999 builds them in about 0.6 s), but only extension
-# rings, p <= 509 under the field table cap, build them; a prime-field ring
-# builds none and is refused past the cap all the same, its carry a few modular
-# powers (0.005-0.02 ms over F_2999; 2-vCPU Xeon, CPython 3.11.7)
+# the range of carry_coefficients, whose exact binomials grow like p**2.7
+# (p = 2999 builds them in about 0.6 s); only extension rings, p <= 509 under the
+# field table cap, build them. A prime-field ring takes any p: its carry is three
+# modular powers in Z/p^2 (0.005-0.02 ms over F_2999; 2-vCPU Xeon, CPython 3.11.7)
 _CARRY_CAP = 3000
 # an extension field builds exp, log and Zech tables of q entries each, in
 # O(q) steps: F_(2**18), the largest field at the cap, builds in 0.3-0.5 s and
@@ -80,7 +79,7 @@ class FiniteField(Frozen):
         if modulus is None:
             super().__init__(p, 1, None, None, None, None)
             return
-        mod = tuple(check_int(x, "modulus entries must be ints") % p for x in modulus)
+        mod = tuple(x % p for x in check_ints(modulus, "modulus entries must be ints"))
         if len(mod) < 3:
             raise ValidationError("extension modulus must have degree >= 2")
         if mod[-1] != 1:
@@ -275,10 +274,8 @@ class WittRing(Frozen):
     def __init__(self, field):
         if not isinstance(field, FiniteField):
             raise ValidationError("expected a FiniteField")
-        if field.degree == 1:  # the F_p carry reads no coefficients
-            check_cap(field.p, _CARRY_CAP, "carry characteristic")
-            coeffs = None
-        else:  # c_k lies in the prime field, whose indices are 0..p-1
+        coeffs = None  # the F_p carry reads no coefficients, at any p
+        if field.degree > 1:  # c_k lies in the prime field, whose indices are 0..p-1
             coeffs = tuple(ck % field.p for ck in carry_coefficients(field.p))
         super().__init__(field, coeffs, {})
 

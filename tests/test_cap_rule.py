@@ -19,8 +19,8 @@ from torbound import (
     BoundInput,
     FiniteField,
     TruncatedSeries,
-    WittRing,
     bound_shape,
+    carry_coefficients,
     cli,
     enumerate_compositions,
     pex_closed_form_uniform,
@@ -44,7 +44,7 @@ def test_check_cap():
 ENTRY_POINTS = {
     "composition weight cap exceeded (64)": lambda: enumerate_compositions(65),
     "series order cap exceeded (4000)": lambda: TruncatedSeries.one(4001),
-    "carry characteristic cap exceeded (3000)": lambda: WittRing(FiniteField(3001)),
+    "carry characteristic cap exceeded (3000)": lambda: carry_coefficients(3001),
     "field table cap exceeded (262144)": lambda: FiniteField(2, (1,) + (0,) * 99 + (1,)),
     "bound dimension cap exceeded (512)": lambda: bound_shape(1026, 513, (1,) * 513, 1),
     "bound size cap exceeded (1050624)": lambda: bound_shape(512, 256, (10**100,) * 256, 1),

@@ -198,8 +198,6 @@ def test_series_ztable(capsys):
      "composition weight cap exceeded (64)"),
     (("series", "invert", "--coeffs", "1,1", "--order", "4001"),
      "series order cap exceeded (4000)"),
-    (("witt", "--p", "3001", "--op", "neg", "--a", "1,0"),
-     "carry characteristic cap exceeded (3000)"),
     (("bound", "--n", "4", "--c", "2", "--e", "1", "--degL", "1",
       "--sweep-p", "0:1000000000000000000000000000000"),
      "sweep range cap exceeded (100000)"),
@@ -217,6 +215,20 @@ def test_witt_add(capsys):
                            "--a", "1,0", "--b", "2,0")
     assert code == 0
     assert out == "0,0\n"
+
+
+def test_witt_add_past_the_carry_cap(capsys):
+    # p = 31123, a prime above the threshold 31104 of
+    # bound --n 12 --c 6 --e-list 1,2,3,1,2,3 --degL 2; the oracle adds the
+    # ghosts a0**p + p*a1 in Z/p^2 and reads the pair back
+    p = 31123
+    pp = p * p
+    w = (pow(5, p, pp) + p * 7 + pow(31118, p, pp) + p * 9) % pp
+    a0 = w % p
+    a1 = (w - pow(a0, p, pp)) % pp // p
+    code, out, err = run_cli(capsys, "witt", "--p", str(p), "--op", "add",
+                             "--a", "5,7", "--b", "31118,9")
+    assert (code, out, err) == (0, f"{a0},{a1}\n", "")
 
 
 def test_witt_all_ops(capsys):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import torbound as tb
 from torbound import cli
-from torbound.errors import ValidationError, check_int
+from torbound.errors import ValidationError, check_int, check_ints
 
 F5 = tb.FiniteField(5)
 F9 = tb.FiniteField(3, modulus=(1, 0, 1))
@@ -40,6 +40,17 @@ def test_check_int():
         check_int(1, "low", low=2)
     with pytest.raises(ValidationError, match="^high$"):
         check_int(3, "high", high=2)
+
+
+def test_check_ints():
+    assert check_ints((1, 2), "m") == (1, 2)
+    assert check_ints(iter([3, 4]), "m", low=3) == (3, 4)
+    assert check_ints((), "m", low=1) == ()
+    for bad in (None, 5, 2.5, (1, True), (1, 2.0), "12", [Fraction(1)]):
+        with pytest.raises(ValidationError, match="^m$"):
+            check_ints(bad, "m")
+    with pytest.raises(ValidationError, match="^low$"):
+        check_ints((2, 1), "low", low=2)
 
 
 # non-int arguments that must raise ValidationError, not return or raise TypeError
@@ -64,6 +75,32 @@ PROBES = {
     "W5.element('3', 0)": lambda: W5.element("3", 0),
     "W9.element((1, 2, 0), 0)": lambda: W9.element((1, 2, 0), 0),
     "W5.element(F9.element(1), 0)": lambda: W5.element(F9.element(1), 0),
+    # a non-iterable where a sequence belongs
+    "bound_shape(4, 2, None, 1)": lambda: tb.bound_shape(4, 2, None, 1),
+    "BoundInput(4, 2, 5, 1)": lambda: tb.BoundInput(4, 2, 5, 1),
+    "threshold_debarre(4, 2, 2.5, 1)": lambda: tb.threshold_debarre(4, 2, 2.5, 1),
+    "deg_cotangent(4, 2, None, 1)": lambda: tb.deg_cotangent(4, 2, None, 1),
+    "top_integral(4, 2, 5, 1)": lambda: tb.top_integral(4, 2, 5, 1),
+    "pex_terms(4, 2, 2.5, 1, 5)": lambda: tb.pex_terms(4, 2, 2.5, 1, 5),
+    "deg_pex(4, 2, None, 1, 5)": lambda: tb.deg_pex(4, 2, None, 1, 5, "paper"),
+    "pex_closed_form_general(4, 2, 5, 1, 5)":
+        lambda: tb.pex_closed_form_general(4, 2, 5, 1, 5, "dual"),
+    "chern_normal(2, 2.5, 2)": lambda: tb.chern_normal(2, 2.5, 2),
+    "chern_tangent(2, None, 2)": lambda: tb.chern_tangent(2, None, 2),
+    "cotangent_chern(2, 5, 2)": lambda: tb.cotangent_chern(2, 5, 2),
+    "segre_cotangent(1, 2, 2.5, 2)": lambda: tb.segre_cotangent(1, 2, 2.5, 2),
+    "z_coeff(1, 2, None)": lambda: tb.z_coeff(1, 2, None),
+    "sym_elementary(5, 1)": lambda: tb.sym_elementary(5, 1),
+    "sym_complete(2.5, 1)": lambda: tb.sym_complete(2.5, 1),
+    "inverse_series_coeff(None, 1)": lambda: tb.inverse_series_coeff(None, 1),
+    "TruncatedSeries(5)": lambda: tb.TruncatedSeries(5),
+    "CompositionMultiset(2.5)": lambda: tb.CompositionMultiset(2.5),
+    "signed_multinomial(None)": lambda: tb.signed_multinomial(None),
+    "FiniteField(3, 5)": lambda: tb.FiniteField(3, 5),
+    # a head entry is a series scalar, never coerced
+    "inverse_series_coeff((1.5,), 1)": lambda: tb.inverse_series_coeff((1.5,), 1),
+    "inverse_series_coeff((True,), 1)": lambda: tb.inverse_series_coeff((True,), 1),
+    "inverse_series_coeff(('a',), 1)": lambda: tb.inverse_series_coeff(("a",), 1),
 }
 
 
@@ -89,6 +126,10 @@ def test_probe_raises_validation_error(probe):
         PROBES[probe]()
 
 
+def test_a_fraction_head_is_a_series_scalar():
+    assert tb.inverse_series_coeff((Fraction(1, 2),), 1) == Fraction(-1, 2)
+
+
 SMALL = st.integers(-3, 12)
 X = st.one_of(
     SMALL,
@@ -98,25 +139,27 @@ X = st.one_of(
     st.none(),
     st.fractions(-3, 12, max_denominator=4),
 )
-# sequences lean to ints, so calls get past their first check
+# sequences lean to ints, so calls get past their first check; a sequence
+# argument is drawn from SEQ, which also holds every non-iterable of X
 XS = st.lists(st.one_of(SMALL, X), max_size=3).map(tuple)
+SEQ = st.one_of(XS, X)
 
 ENTRY_POINTS = {
     "enumerate_compositions": (tb.enumerate_compositions, [X]),
     "w_coeff": (tb.w_coeff, [X, X]),
-    "z_coeff": (tb.z_coeff, [X, X, XS]),
-    "sym_elementary": (tb.sym_elementary, [XS, X]),
-    "sym_complete": (tb.sym_complete, [XS, X]),
-    "inverse_series_coeff": (tb.inverse_series_coeff, [XS, X]),
-    "CompositionMultiset": (tb.CompositionMultiset, [XS]),
-    "signed_multinomial": (tb.signed_multinomial, [XS]),
-    "chern_normal": (tb.chern_normal, [X, XS, X]),
-    "cotangent_chern": (tb.cotangent_chern, [X, XS, X]),
+    "z_coeff": (tb.z_coeff, [X, X, SEQ]),
+    "sym_elementary": (tb.sym_elementary, [SEQ, X]),
+    "sym_complete": (tb.sym_complete, [SEQ, X]),
+    "inverse_series_coeff": (tb.inverse_series_coeff, [SEQ, X]),
+    "CompositionMultiset": (tb.CompositionMultiset, [SEQ]),
+    "signed_multinomial": (tb.signed_multinomial, [SEQ]),
+    "chern_normal": (tb.chern_normal, [X, SEQ, X]),
+    "cotangent_chern": (tb.cotangent_chern, [X, SEQ, X]),
     "frobenius_scale": (lambda p: tb.frobenius_scale(SERIES, p), [X]),
-    "segre_cotangent": (tb.segre_cotangent, [X, X, XS, X]),
-    "top_integral": (tb.top_integral, [X, X, XS, X]),
-    "deg_cotangent": (tb.deg_cotangent, [X, X, XS, X]),
-    "threshold_debarre": (tb.threshold_debarre, [X, X, XS, X]),
+    "segre_cotangent": (tb.segre_cotangent, [X, X, SEQ, X]),
+    "top_integral": (tb.top_integral, [X, X, SEQ, X]),
+    "deg_cotangent": (tb.deg_cotangent, [X, X, SEQ, X]),
+    "threshold_debarre": (tb.threshold_debarre, [X, X, SEQ, X]),
     "threshold_lemma_p": (tb.threshold_lemma_p, [X, X]),
     "pex_closed_form_uniform": (
         lambda n, c, e, d, p: tb.pex_closed_form_uniform(n, c, e, d, p, "paper"),
@@ -124,27 +167,28 @@ ENTRY_POINTS = {
     ),
     "pex_closed_form_general": (
         lambda n, c, es, d, p: tb.pex_closed_form_general(n, c, es, d, p, "dual"),
-        [X, X, XS, X, X],
+        [X, X, SEQ, X, X],
     ),
-    "pex_terms": (tb.pex_terms, [X, X, XS, X, X]),
+    "pex_terms": (tb.pex_terms, [X, X, SEQ, X, X]),
     "deg_pex": (lambda n, c, es, d, p: tb.deg_pex(n, c, es, d, p, "paper"),
-                [X, X, XS, X, X]),
+                [X, X, SEQ, X, X]),
     "deg_abelian_bound": (tb.deg_abelian_bound, [X, X, X]),
-    "bound_shape": (tb.bound_shape, [X, X, XS, X]),
+    "bound_shape": (tb.bound_shape, [X, X, SEQ, X]),
     "torsion_bound": (
         lambda n, c, es, d, p: tb.torsion_bound(tb.BoundInput(n, c, es, d, p=p)),
-        [X, X, XS, X, st.one_of(X, st.just("auto"))],
+        [X, X, SEQ, X, st.one_of(X, st.just("auto"))],
     ),
     "verify_slope_chain": (tb.verify_slope_chain, [X, X, X]),
     "is_prime": (tb.is_prime, [X]),
     "next_prime": (tb.next_prime, [X]),
-    "TruncatedSeries": (lambda cs, order: tb.TruncatedSeries(cs, order=order), [XS, X]),
+    "TruncatedSeries": (lambda cs, order: tb.TruncatedSeries(cs, order=order), [SEQ, X]),
     "TruncatedSeries.coefficient": (SERIES.coefficient, [X]),
     "FiniteField": (tb.FiniteField, [X]),
     "FiniteField.modulus": (lambda p, a, b: tb.FiniteField(p, modulus=(a, b, 1)),
                             [X, X, X]),
+    "FiniteField.modulus.sequence": (lambda m: tb.FiniteField(3, modulus=m), [SEQ]),
     "FiniteField.element": (F5.element, [X]),
-    "FiniteField.element.tuple": (F9.element, [XS]),
+    "FiniteField.element.tuple": (F9.element, [SEQ]),
     "WittRing.element": (W5.element, [X, X]),
     "WittPair.times": (W5.element(1, 2).times, [X]),
     "FqElement.__pow__": (lambda e: F5.element(2) ** e, [X]),

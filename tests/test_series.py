@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -145,3 +146,12 @@ def test_order_cap_refuses_before_padding():
         with pytest.raises(CapacityError, match="series order cap exceeded"):
             make()
 
+
+
+def test_repr_prints_big_coefficients_exactly_from_library_code():
+    limit = sys.get_int_max_str_digits()
+    big = 10**5000  # past CPython's 4300-digit int-to-str limit
+    assert repr(TruncatedSeries((1, big), order=1)) == (
+        "TruncatedSeries((1, 1" + "0" * 5000 + "))"
+    )
+    assert sys.get_int_max_str_digits() == limit
