@@ -198,6 +198,8 @@ def test_series_ztable(capsys):
      "composition weight cap exceeded (64)"),
     (("series", "invert", "--coeffs", "1,1", "--order", "4001"),
      "series order cap exceeded (4000)"),
+    (("bound", "--n", "1026", "--c", "513", "--e", "1", "--degL", "1"),
+     "bound dimension cap exceeded (512)"),
     (("bound", "--n", "4", "--c", "2", "--e", "1", "--degL", "1",
       "--sweep-p", "0:1000000000000000000000000000000"),
      "sweep range cap exceeded (100000)"),
