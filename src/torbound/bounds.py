@@ -18,8 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .chern import (_check_codimension, _checked_cotangent_degree, _normal_series,
-                    _validate_geometry, deg_cotangent)
+from .chern import _check_codimension, _cotangent_degree, _normal_series, _validate_geometry
 from .combinatorics import _complete_table, _elementary_table
 from .errors import Frozen, ValidationError, check_cap, check_int, check_routes
 from .primes import DETERMINISTIC_LIMIT, is_prime, next_prime
@@ -73,7 +72,7 @@ def _column(convention):
 def threshold_debarre(n, c, exponents, d):
     """Prime threshold for the torsion bound: (n-c)**2 times the cotangent degree."""
     exps = _validate_bound_shape(n, c, exponents, d)
-    return (n - c) ** 2 * deg_cotangent(n, c, exps, d)
+    return (n - c) ** 2 * _cotangent_degree(exps, d, _normal_series(exps, 1).invert())
 
 
 def _threshold(n, c, exps, d):
@@ -186,7 +185,7 @@ def pex_terms(n, c, exponents, d, p):
     """
     exps = _validate_bound_shape(n, c, exponents, d)
     _check_prime(p)
-    return bound_shape(n, c, exps, d).terms(p)
+    return _bound_shape(n, c, exps, d).terms(p)
 
 
 def deg_pex(n, c, exponents, d, p, convention):
@@ -197,7 +196,7 @@ def deg_pex(n, c, exponents, d, p, convention):
     column = _column(convention)
     exps = _validate_bound_shape(n, c, exponents, d)
     _check_prime(p)
-    return _degree_sums(bound_shape(n, c, exps, d).rows, p)[column]
+    return _degree_sums(_bound_shape(n, c, exps, d).rows, p)[column]
 
 
 def deg_abelian_bound(n, d, p):
@@ -328,12 +327,15 @@ def bound_shape(n, c, exponents, d):
     For constant exponents the uniform closed form's rows and w_table are
     kept.
     """
-    exps = _validate_bound_shape(n, c, exponents, d)
+    return _bound_shape(n, c, _validate_bound_shape(n, c, exponents, d), d)
+
+
+def _bound_shape(n, c, exps, d):
+    # bound_shape on checked exponents
     dim = n - c
     tangent = _normal_series(exps, dim).invert()  # one series for every check below
+    deg_cot = _cotangent_degree(exps, d, tangent)
     ti = math.prod(exps) * d  # top_integral
-    # deg_cotangent, c_1 of the cotangent bundle read as -c_1 of that series
-    deg_cot = _checked_cotangent_degree(exps, ti, -tangent.coefficient(1))
     rows, w_table = _closed_form_rows(n, c, exps, d, False)
     scale = 1
     if len(set(exps)) == 1:
@@ -362,7 +364,7 @@ def torsion_bound(inp):
     prime_used = inp.p
     if prime_used == "auto":
         prime_used = next_prime(_threshold(n, c, exps, d))
-    return bound_shape(n, c, exps, d)._assemble(inp.p, prime_used, inp.mode)
+    return _bound_shape(n, c, exps, d)._assemble(inp.p, prime_used, inp.mode)
 
 
 def _sweep(n, c, exps, d, lo, hi, mode):
@@ -381,7 +383,7 @@ def _sweep(n, c, exps, d, lo, hi, mode):
     q = next(primes, None)
     if q is None:
         return ()
-    shape = bound_shape(n, c, exps, d)
+    shape = _bound_shape(n, c, exps, d)
     return (shape._assemble(p, p, mode) for p in itertools.chain((q,), primes))
 
 

@@ -103,15 +103,16 @@ def deg_cotangent(n, c, exponents, d):
 
     Closed form (sum of exponents) * (product of exponents) * d, cross-checked
     against integrating the first cotangent Chern class times l**(n-c-1):
-    c_1 is read from the cotangent series at order 1, since no higher class
+    c_1 is read from the tangent series at order 1, since no higher class
     enters, and c_1 * l**(n-c-1) is c_1 times the top class l**(n-c).
     """
     exps = _validate_geometry(n, c, exponents, d)
-    top = math.prod(exps) * d  # top_integral, on exponents already checked
-    return _checked_cotangent_degree(exps, top, cotangent_chern(c, exps, 1).coefficient(1))
+    return _cotangent_degree(exps, d, _normal_series(exps, 1).invert())
 
 
-def _checked_cotangent_degree(exps, top, c1):
-    # deg_cotangent's two routes on checked exponents, top their top_integral
+def _cotangent_degree(exps, d, tangent):
+    # deg_cotangent's two routes on checked exponents: c_1 of the cotangent
+    # bundle is minus the t-coefficient of tangent, their tangent series
+    top = math.prod(exps) * d  # top_integral
     return check_routes("cotangent degree", ("closed form", sum(exps) * top),
-                        ("integral", c1 * top))
+                        ("integral", -tangent.coefficient(1) * top))

@@ -36,11 +36,17 @@ EXIT_BROKEN_PIPE = 141
 MAX_SWEEP_WIDTH = 10**5
 
 
+def integer(text, message="not an integer"):
+    """The CLI's integer rule: an optional "-" then the ASCII digits 0-9, read as
+    an int; else ValidationError(message), which argparse reports as a bad type."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValidationError(message)
+    return int(text)
+
+
 def _int_list(text, what):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValidationError(f"{what} must be a comma-separated integer list") from None
+    message = f"{what} must be a comma-separated integer list"
+    return tuple(integer(part, message) for part in text.split(","))
 
 
 def _exponents(args):
@@ -51,15 +57,6 @@ def _exponents(args):
     if args.e_list is not None:
         return _int_list(args.e_list, "--e-list")
     raise ValidationError("one of --e or --e-list is required")
-
-
-def _parse_p(text):
-    if text is None or text == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError("--p must be an integer or 'auto'") from None
 
 
 @exact_digits()
@@ -164,17 +161,15 @@ def _cmd_bound(args):
         parts = args.sweep_p.split(":")
         if len(parts) != 2:
             raise ValidationError("--sweep-p must look like FROM:TO")
-        try:
-            lo, hi = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValidationError("--sweep-p bounds must be integers") from None
+        lo, hi = (integer(part, "--sweep-p bounds must be integers") for part in parts)
         if lo < 0 or hi < lo:
             raise ValidationError("--sweep-p needs 0 <= FROM <= TO")
         check_cap(hi - lo, MAX_SWEEP_WIDTH, "sweep range")
         reports = _sweep(args.n, args.c, exps, args.degL, lo, hi, args.mode)
         _emit_reports(reports, args.format, sys.stdout)
         return 0
-    inp = BoundInput(args.n, args.c, exps, args.degL, p=_parse_p(args.p), mode=args.mode)
+    p = "auto" if args.p in (None, "auto") else integer(args.p, "--p must be an integer or 'auto'")
+    inp = BoundInput(args.n, args.c, exps, args.degL, p=p, mode=args.mode)
     _emit_reports([torsion_bound(inp)], args.format, sys.stdout)
     return 0
 
@@ -255,13 +250,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="full torsion-bound report")
-    p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--c", type=int, required=True)
-    p_bound.add_argument("--e", type=int, default=None,
+    p_bound.add_argument("--n", type=integer, required=True)
+    p_bound.add_argument("--c", type=integer, required=True)
+    p_bound.add_argument("--e", type=integer, default=None,
                          help="single exponent, repeated c times")
     p_bound.add_argument("--e-list", default=None,
                          help="comma-separated exponent sequence of length c")
-    p_bound.add_argument("--degL", type=int, required=True)
+    p_bound.add_argument("--degL", type=integer, required=True)
     p_bound.add_argument("--p", default=None,
                          help="explicit prime above the threshold, or 'auto' (the default)")
     p_bound.add_argument("--mode", choices=["paper", "dual", "both"], default="both")
@@ -272,12 +267,12 @@ def build_parser():
 
     p_thresh = sub.add_parser("threshold", help="threshold and next admissible prime")
     p_thresh.add_argument("--kind", choices=["debarre", "lemma-p"], required=True)
-    p_thresh.add_argument("--n", type=int, default=None)
-    p_thresh.add_argument("--c", type=int, default=None)
-    p_thresh.add_argument("--e", type=int, default=None)
+    p_thresh.add_argument("--n", type=integer, default=None)
+    p_thresh.add_argument("--c", type=integer, default=None)
+    p_thresh.add_argument("--e", type=integer, default=None)
     p_thresh.add_argument("--e-list", default=None)
-    p_thresh.add_argument("--degL", type=int, default=None)
-    p_thresh.add_argument("--deg-omega", type=int, default=None)
+    p_thresh.add_argument("--degL", type=integer, default=None)
+    p_thresh.add_argument("--deg-omega", type=integer, default=None)
     p_thresh.set_defaults(func=_cmd_threshold)
 
     p_series = sub.add_parser("series", help="series toolkit")
@@ -286,22 +281,22 @@ def build_parser():
     p_invert = series_sub.add_parser("invert", help="invert a truncated series")
     p_invert.add_argument("--coeffs", required=True,
                           help="comma-separated coefficients, constant term first")
-    p_invert.add_argument("--order", type=int, required=True)
+    p_invert.add_argument("--order", type=integer, required=True)
     p_invert.set_defaults(func=_cmd_series_invert)
 
     p_wtable = series_sub.add_parser("wtable", help="inverse-power coefficient table")
-    p_wtable.add_argument("--c", type=int, required=True)
-    p_wtable.add_argument("--max-m", type=int, required=True)
+    p_wtable.add_argument("--c", type=integer, required=True)
+    p_wtable.add_argument("--max-m", type=integer, required=True)
     p_wtable.set_defaults(func=_cmd_series_wtable)
 
     p_ztable = series_sub.add_parser("ztable",
                                      help="inverse product-series coefficient table")
     p_ztable.add_argument("--e-list", required=True)
-    p_ztable.add_argument("--max-i", type=int, required=True)
+    p_ztable.add_argument("--max-i", type=integer, required=True)
     p_ztable.set_defaults(func=_cmd_series_ztable)
 
     p_witt = sub.add_parser("witt", help="length-2 Witt vector arithmetic")
-    p_witt.add_argument("--p", type=int, required=True)
+    p_witt.add_argument("--p", type=integer, required=True)
     p_witt.add_argument("--op", required=True,
                         choices=["add", "mul", "sub", "neg",
                                  "frobenius", "verschiebung", "ghost"])

@@ -275,31 +275,28 @@ class TestCrossChecksFire:
         self.assert_fires(capsys, f"jet-bundle degree ({convention}) disagrees at p**0")
 
     def test_cotangent_route(self, monkeypatch, capsys):
-        real = torbound.chern.cotangent_chern
+        # one body builds every normal series: the order-1 series that
+        # deg_cotangent and threshold_debarre read c_1 from, and a shape's own
+        real = torbound.chern._normal_series
+        orders = []
 
-        def corrupted(c, exponents, order):
-            coeffs = list(real(c, exponents, order).coefficients)
+        def corrupted(exps, order):
+            orders.append(order)
+            coeffs = list(real(exps, order).coefficients)
             coeffs[1] += 1
             return TruncatedSeries(coeffs, order=order)
 
-        monkeypatch.setattr(torbound.chern, "cotangent_chern", corrupted)
+        for module in (torbound.chern, torbound.bounds):
+            monkeypatch.setattr(module, "_normal_series", corrupted)
         with pytest.raises(InternalConsistencyError, match="cotangent degree disagrees"):
             deg_cotangent(4, 2, (2, 2), 1)
         argv = ["threshold", "--kind", "debarre", "--n", "4", "--c", "2", "--e", "2",
                 "--degL", "1"]
         assert cli.main(argv) == 3
         assert "cotangent degree disagrees" in capsys.readouterr().err
-        # a report reads c_1 from the shape's own normal series, not from
-        # cotangent_chern, so corrupt that route too
-        real_normal = torbound.bounds._normal_series
-
-        def corrupted_normal(exps, order):
-            coeffs = list(real_normal(exps, order).coefficients)
-            coeffs[1] += 1
-            return TruncatedSeries(coeffs, order=order)
-
-        monkeypatch.setattr(torbound.bounds, "_normal_series", corrupted_normal)
+        assert orders == [1, 1]
         self.assert_fires(capsys, "cotangent degree disagrees")
+        assert orders == [1, 1, 2, 2]
 
     def test_uniform_route(self, monkeypatch, capsys):
         real = torbound.bounds._closed_form_rows
@@ -359,15 +356,25 @@ class TestBoundShape:
 
     @staticmethod
     def count_builds(monkeypatch):
+        # every entry point builds its shape through the one checked body
         calls = []
-        real = torbound.bounds.bound_shape
+        real = torbound.bounds._bound_shape
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(torbound.bounds, "bound_shape", counted)
+        monkeypatch.setattr(torbound.bounds, "_bound_shape", counted)
         return calls
+
+    @staticmethod
+    def assert_builds_once(calls, argv, capsys):
+        # the positive control of a "nothing was built" test: an admissible
+        # sweep through the same recorder builds its shape once
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) > 1
+        assert len(calls) == 1
 
     def test_sweep_rows_equal_single_reports(self, capsys):
         for n, c, exps, d in self.SHAPES:
@@ -428,6 +435,7 @@ class TestBoundShape:
                 assert cli.main(argv) == 0
                 assert capsys.readouterr() == (expected, "")
         assert calls == []
+        self.assert_builds_once(calls, argv[:-1] + ["27000:27030"], capsys)
 
     def test_capacity_error_in_sweep_writes_nothing(self, monkeypatch, capsys):
         calls = self.count_builds(monkeypatch)
@@ -438,6 +446,9 @@ class TestBoundShape:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
         assert calls == []
+        admissible = ["bound", "--n", "2", "--c", "1", "--e", "2", "--degL", "1",
+                      "--format", "csv", "--sweep-p", "0:100"]
+        self.assert_builds_once(calls, admissible, capsys)
 
     def test_one_tangent_series_per_shape(self, monkeypatch):
         # the w_table check and both Segre conventions share one tangent
@@ -606,20 +617,36 @@ def test_the_closed_form_threshold_is_the_checked_one(dim, extra, data):
 class TestRefusalsComeFirst:
     """Input the bound cannot handle is refused before any shape work."""
 
+    # the bodies that do shape work: the checked shape, its series, its
+    # cotangent degree (threshold_debarre's too) and its closed-form rows
+    SHAPE_WORK = ("_bound_shape", "_normal_series", "_cotangent_degree", "_closed_form_rows")
+
     @staticmethod
-    def record(monkeypatch, name):
+    def record(monkeypatch, *names):
         calls = []
-        real = getattr(torbound.bounds, name)
+        for name in names:
+            real = getattr(torbound.bounds, name)
 
-        def recorded(*args):
-            calls.append(args)
-            return real(*args)
+            def recorded(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(torbound.bounds, name, recorded)
+            monkeypatch.setattr(torbound.bounds, name, recorded)
         return calls
 
+    @staticmethod
+    def assert_records_shape_work(calls):
+        # the positive control of a "no work before the refusal" test:
+        # admissible input through the same recorder is recorded
+        bound_shape(4, 2, (1, 1), 1)  # equal exponents: general and uniform rows
+        assert calls == ["_bound_shape", "_normal_series", "_cotangent_degree",
+                         "_closed_form_rows", "_closed_form_rows"]
+        calls.clear()
+        threshold_debarre(4, 2, (1, 1), 1)
+        assert calls == ["_normal_series", "_cotangent_degree"]
+
     def test_dimension_cap(self, monkeypatch, capsys):
-        calls = self.record(monkeypatch, "deg_cotangent")
+        calls = self.record(monkeypatch, *self.SHAPE_WORK)
         c = torbound.bounds.MAX_BOUND_DIMENSION + 1
         message = f"bound dimension cap exceeded ({c - 1})"
         start = time.perf_counter()
@@ -632,16 +659,17 @@ class TestRefusalsComeFirst:
             with pytest.raises(CapacityError, match=re.escape(message)):
                 make()
         assert time.perf_counter() - start < 0.5
-        assert calls == []
         argv = ["bound", "--n", str(2 * c), "--c", str(c), "--e", "1", "--degL", "1"]
         for extra in ([], ["--sweep-p", "1:100"]):
             assert cli.main(argv + extra) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert calls == []
+        self.assert_records_shape_work(calls)
 
     def test_size_cap(self, monkeypatch, capsys):
         # n - c = 256 is under the dimension cap, but 333-bit exponents would
         # keep bound_shape busy for about a minute and a half
-        calls = self.record(monkeypatch, "deg_cotangent")
+        calls = self.record(monkeypatch, *self.SHAPE_WORK)
         message = f"bound size cap exceeded ({torbound.bounds.MAX_BOUND_BITS})"
         exps = (10**100,) * 256
         start = time.perf_counter()
@@ -655,11 +683,12 @@ class TestRefusalsComeFirst:
             with pytest.raises(CapacityError, match=re.escape(message)):
                 make()
         assert time.perf_counter() - start < 0.5
-        assert calls == []
         argv = ["bound", "--n", "512", "--c", "256", "--e", str(10**100), "--degL", "1"]
         for extra in ([], ["--sweep-p", "1:100"]):
             assert cli.main(argv + extra) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert calls == []
+        self.assert_records_shape_work(calls)
         # the cap admits n - c = 512 with exponents up to 3
         torbound.bounds._validate_bound_shape(1024, 512, (3,) * 512, 1)
         with pytest.raises(CapacityError, match=re.escape(message)):
@@ -667,10 +696,12 @@ class TestRefusalsComeFirst:
 
     def test_auto_prime_refused_before_the_shape(self, monkeypatch):
         # the threshold, 2**114, is past the deterministic witness range
-        calls = self.record(monkeypatch, "bound_shape")
+        calls = self.record(monkeypatch, "_bound_shape")
         with pytest.raises(CapacityError, match="deterministic witness range"):
             torsion_bound(BoundInput(64, 32, (8,) * 32, 1))
         assert calls == []
+        torsion_bound(BoundInput(4, 2, (2, 2), 1))  # an admissible auto prime
+        assert calls == ["_bound_shape"]
 
 
 class TestSlopeChain:

@@ -13,6 +13,7 @@ from torbound.cli import (
     CSV_COLUMNS,
     EXIT_BROKEN_PIPE,
     build_parser,
+    integer,
     main,
     report_csv_row,
     report_json_dict,
@@ -393,6 +394,45 @@ def test_sweep_bad_range(capsys):
                            "--degL", "1", "--sweep-p", "9:4")
     assert code == 2
     assert "sweep-p" in err
+
+
+# int() would read each of these: "1_0" as 10, the Arabic-Indic digit as 1
+NOT_DECIMAL = ["x", "1_0", "\u0661", "+1", " 1"]
+BOUND = ["bound", "--n", "4", "--c", "2", "--degL", "1"]
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL)
+@pytest.mark.parametrize("flag, argv, message", [
+    ("--e-list", BOUND + ["--e-list", "{},2"], "--e-list must be a comma-separated integer list"),
+    ("--coeffs", ["series", "invert", "--order", "2", "--coeffs", "{},2"],
+     "--coeffs must be a comma-separated integer list"),
+    ("--a", ["witt", "--p", "5", "--op", "neg", "--a", "{},2"],
+     "--a must be a comma-separated integer list"),
+    ("--p", BOUND + ["--e", "2", "--p", "{}"], "--p must be an integer or 'auto'"),
+    ("--sweep-p", BOUND + ["--e", "2", "--sweep-p", "{}:100"],
+     "--sweep-p bounds must be integers"),
+])
+def test_integer_text_is_ascii_decimal(capsys, text, flag, argv, message):
+    argv = [arg.format(text) for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL)
+def test_integer_flags_refuse_what_is_not_ascii_decimal(capsys, text):
+    # an integer flag's type is the same rule, so argparse refuses the text
+    with pytest.raises(SystemExit) as exited:
+        main(["threshold", "--kind", "debarre", "--n", text, "--c", "2", "--e", "3",
+              "--degL", "2"])
+    assert exited.value.code == 2
+    assert f"--n: invalid integer value: {text!r}" in capsys.readouterr().err
+
+
+def test_integer_reads_what_str_prints():
+    for value in (0, 7, -12, 10**30, -(10**30)):
+        assert integer(str(value)) == value
+    for text in NOT_DECIMAL + ["", "-", "--1", "1.0", "1e3", "0x10", "\u00b2"]:
+        with pytest.raises(errors.ValidationError, match="^m$"):
+            integer(text, "m")
 
 
 def test_sweep_width_at_the_cap_is_accepted(capsys):

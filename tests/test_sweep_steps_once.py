@@ -15,6 +15,7 @@ import torbound.chern
 import torbound.combinatorics
 import torbound.errors
 import torbound.primes
+import torbound.series
 from torbound import BoundInput, BoundReport, bound_shape, cli, torsion_bound
 from torbound.bounds import PexTerm
 from torbound.primes import DETERMINISTIC_LIMIT
@@ -123,14 +124,21 @@ def test_a_range_across_the_witness_limit_writes_nothing(capsys):
 
 
 def test_bound_shape_makes_no_deg_cotangent_call(monkeypatch):
+    # bound_shape reads c_1 from its own order-(n - c) series: it calls no
+    # deg_cotangent and builds none of the order-1 series deg_cotangent builds
     calls = []
-    for module in (torbound.bounds, torbound.chern):
-        real = module.deg_cotangent
-        monkeypatch.setattr(module, "deg_cotangent",
-                            lambda *args, real=real: calls.append(args) or real(*args))
+    for module, name in [(torbound.chern, "deg_cotangent"),
+                         (torbound.bounds, "_normal_series"),
+                         (torbound.chern, "_normal_series")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                            calls.append((name, args[-1])) or real(*args))
     shape = bound_shape(*SHAPE)
-    assert calls == []
+    assert calls == [("_normal_series", SHAPE[0] - SHAPE[1])]
     assert shape.deg_cotangent == sum(SHAPE[2]) * 36 * SHAPE[3]
+    calls.clear()  # the same recorder sees deg_cotangent's work
+    assert torbound.chern.deg_cotangent(*SHAPE) == shape.deg_cotangent
+    assert calls == [("deg_cotangent", SHAPE[3]), ("_normal_series", 1)]
 
 
 def test_bound_shape_checks_the_cotangent_degree_on_its_own_series(monkeypatch, capsys):
@@ -152,36 +160,6 @@ def test_bound_shape_checks_the_cotangent_degree_on_its_own_series(monkeypatch, 
     assert out == "" and err.startswith("internal consistency failure: cotangent degree")
 
 
-def check_int_calls_per_exponent(monkeypatch, run, c=1000):
-    calls = []
-    real = torbound.errors.check_int
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for module in (torbound.errors, torbound.bounds, torbound.chern,
-                   torbound.combinatorics, torbound.primes):
-        monkeypatch.setattr(module, "check_int", counted)
-    run(c + 4, c, (1,) * c, 1)
-    return len(calls) / c
-
-
-def test_bound_shape_checks_each_exponent_once(monkeypatch):
-    assert check_int_calls_per_exponent(monkeypatch, bound_shape) < 2
-
-
-def test_each_exponent_is_checked_at_most_five_times_per_report(monkeypatch):
-    def report(n, c, exps, d):
-        return torsion_bound(BoundInput(n, c, exps, d))
-
-    def explicit(n, c, exps, d):
-        return torsion_bound(BoundInput(n, c, exps, d, p=1000003))
-
-    assert check_int_calls_per_exponent(monkeypatch, report) < 6
-    assert check_int_calls_per_exponent(monkeypatch, explicit) < 6
-
-
 def report_auto(n, c, exps, d):
     return torsion_bound(BoundInput(n, c, exps, d))
 
@@ -198,16 +176,67 @@ def csv_sweep(n, c, exps, d):
     assert out.getvalue().count("\n") > 10
 
 
+# every public entry point of the shape path, called at (n, c, exps, d); p is
+# a prime past every threshold the shapes below reach
+EXPONENT_READERS = {
+    "bound_shape": bound_shape,
+    "threshold_debarre": torbound.threshold_debarre,
+    "deg_cotangent": torbound.deg_cotangent,
+    "top_integral": torbound.top_integral,
+    "pex_terms": lambda n, c, exps, d: torbound.pex_terms(n, c, exps, d, 1000003),
+    "deg_pex": lambda n, c, exps, d: torbound.deg_pex(n, c, exps, d, 1000003, "paper"),
+    "pex_closed_form_general":
+        lambda n, c, exps, d: torbound.pex_closed_form_general(n, c, exps, d, 1000003, "dual"),
+    "report_auto": report_auto,
+    "report_explicit": report_explicit,
+    "csv_sweep": csv_sweep,
+    "chern_tangent": lambda n, c, exps, d: torbound.chern_tangent(c, exps, n - c),
+    "segre_cotangent": lambda n, c, exps, d: torbound.segre_cotangent(n - c, c, exps, n - c),
+}
+
+
+@pytest.mark.parametrize("entry", list(EXPONENT_READERS))
+def test_each_entry_point_checks_each_exponent_once(monkeypatch, entry):
+    # each public entry point checks its arguments once, then runs private
+    # bodies on the checked values: one check_int call per exponent, plus
+    # O(1) for n, c, d, p and series indices (n - c = 4)
+    calls = []
+    real = torbound.errors.check_int
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (torbound.errors, torbound.bounds, torbound.chern, torbound.combinatorics,
+                   torbound.primes, torbound.series, cli):
+        monkeypatch.setattr(module, "check_int", counted)
+    c = 1000
+    EXPONENT_READERS[entry](c + 4, c, (1,) * c, 1)
+    assert 1 <= len(calls) / c < 2
+
+
 @pytest.mark.parametrize("run", [report_auto, report_explicit, csv_sweep])
 def test_the_bound_path_computes_its_threshold_once(monkeypatch, run):
-    # the threshold comes from its closed form, and bound_shape runs its
-    # two-route check: no threshold_debarre, deg_cotangent or order-1 series
+    # the threshold comes from its closed form, and the shape runs its
+    # two-route check once, on its own series: no threshold_debarre,
+    # deg_cotangent or order-1 series
     calls = []
     for module, name in [(torbound.bounds, "threshold_debarre"),
-                         (torbound.bounds, "deg_cotangent"),
-                         (torbound.chern, "cotangent_chern")]:
+                         (torbound.chern, "deg_cotangent"),
+                         (torbound.bounds, "_cotangent_degree"),
+                         (torbound.chern, "_cotangent_degree")]:
         real = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    assert check_int_calls_per_exponent(monkeypatch, run) < 3  # twice per exponent
-    assert calls == []
+
+        def recorded(*args, real=real, name=name):
+            # a cotangent-degree check is recorded by the order of its series
+            calls.append(f"order {args[2].order}" if name == "_cotangent_degree" else name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+    n, c, exps, d = 1004, 1000, (1,) * 1000, 1
+    run(n, c, exps, d)
+    assert calls == [f"order {n - c}"]
+    calls.clear()  # the same recorder sees the threshold entry points' work
+    assert torbound.bounds.threshold_debarre(n, c, exps, d) == 16000
+    assert torbound.chern.deg_cotangent(n, c, exps, d) == 1000
+    assert calls == ["threshold_debarre", "order 1", "deg_cotangent", "order 1"]
