@@ -49,8 +49,12 @@ def chern_normal(c, exponents, order):
 def _normal_series(exps, order):
     # chern_normal on checked exponents
     coeffs = list(TruncatedSeries.one(order).coefficients)  # validates the order
-    for k, e in enumerate(exps, start=1):
-        for j in range(min(k, order), 0, -1):
+    for k, e in enumerate(exps[:order], start=1):  # factor k reaches degree k
+        for j in range(k, 0, -1):
+            coeffs[j] += e * coeffs[j - 1]
+    steps = range(order, 0, -1)  # every later factor reaches the order
+    for e in exps[order:]:
+        for j in steps:
             coeffs[j] += e * coeffs[j - 1]
     return TruncatedSeries(coeffs, order=order)
 

@@ -5,27 +5,31 @@ P_p(X, Y) = (X^p + Y^p - (X+Y)^p) / p. For q = p the first ghost component
 identifies W2(F_p) with Z/p^2, the module's external correctness anchor, and
 the F_p carry is computed there, so a prime-field ring builds no table. An
 extension ring builds the integer coefficients of P_p (exact divisibility by p
-asserted) and reduces them into the field once per ring.
+asserted) and reduces them into the field once per ring. Each ring memoizes
+its carry by one residue, at most q entries (see WittRing.carry_index).
 
 A residue of F_q = F_p[x]/(m) is one int in 0..q-1, its index, whose base-p
 digits, lowest first, are its coefficients (0..p-1 is the prime field in F_p
 and every extension), and a Witt pair stores the indices of its components:
 FiniteField._residue validates an input and returns its index, so a pair is
 built from its inputs without building an FqElement.
-Prime fields compute with % p; an extension field builds exp, log and
-Zech-log tables over a primitive element once, so its arithmetic is lookups.
+Prime fields compute with % p; an extension field reads exp, log and
+Zech-log tables over a primitive element, so its arithmetic is lookups. The
+tables are built once per process for each (p, modulus) (see _field_tables).
 """
 
+import collections
 import itertools
 import math
+import threading
 
 from .errors import Frozen, ValidationError, check_cap, check_int, check_ints
 from .primes import is_prime
 
 # the range of carry_coefficients, whose exact binomials grow like p**2.7
 # (p = 2999 builds them in about 0.6 s); only extension rings, p <= 509 under the
-# field table cap, build them. A prime-field ring takes any p: its carry is three
-# modular powers in Z/p^2 (0.005-0.02 ms over F_2999; 2-vCPU Xeon, CPython 3.11.7)
+# field table cap, build them. A prime-field ring takes any p: its carry reads
+# u^p mod p^2 for three residues u, each one modular power on first use
 _CARRY_CAP = 3000
 # an extension field builds exp, log and Zech tables of q entries each, in
 # O(q) steps: F_(2**18), the largest field at the cap, builds in 0.3-0.5 s and
@@ -48,6 +52,38 @@ def carry_coefficients(p):
     return tuple(out)
 
 
+# the tables of the extension fields built in this process, by (p, modulus),
+# least recently used first; the residues held, summed over q, stay within
+# _FIELD_TABLE_CAP
+_TABLES = collections.OrderedDict()
+_TABLES_LOCK = threading.Lock()
+
+
+def _field_tables(p, mod):
+    """(exp, log, zech) of F_p[x]/(mod), built on the first call for a field
+    and looked up after it, so equal fields, unpickled and deep-copied ones
+    too, share one set of tuples. A reducible modulus raises ValidationError
+    and is never held, so it is refused alike on every call."""
+    key = (p, mod)
+    with _TABLES_LOCK:
+        tables = _TABLES.get(key)
+        if tables is not None:
+            _TABLES.move_to_end(key)
+            return tables
+    from . import fieldtables  # loaded with the first extension field
+
+    if not fieldtables.is_irreducible(mod, p):
+        raise ValidationError("extension modulus is reducible")
+    tables = fieldtables.tables(p, mod)  # unlocked: lookups of other fields go on
+    with _TABLES_LOCK:
+        tables = _TABLES.setdefault(key, tables)  # two racing builds keep the first
+        _TABLES.move_to_end(key)
+        held = sum(len(log) for _, log, _ in _TABLES.values())
+        while held > _FIELD_TABLE_CAP:  # the newest field is at most the cap
+            held -= len(_TABLES.popitem(last=False)[1][1])
+    return tables
+
+
 def _digits(index, p, f):
     out = []
     for _ in range(f):
@@ -67,9 +103,9 @@ class FiniteField(Frozen):
     """F_{p^f}: the prime field when no modulus is given, else residues
     modulo a caller-supplied monic irreducible polynomial (validated here
     by exhaustive trial division). Fields compare by p and modulus; the
-    tables of an extension field are derived data, so a pickle or deep copy
-    carries only (p, modulus) and rebuilds them; a shallow copy is the
-    field itself."""
+    tables of an extension field are derived data, built once per process
+    and shared by equal fields, so a pickle or deep copy carries only
+    (p, modulus) and looks them up again; a shallow copy is the field itself."""
 
     __slots__ = ("p", "degree", "modulus", "_exp", "_log", "_zech")
 
@@ -88,11 +124,7 @@ class FiniteField(Frozen):
         # f past the cap's bit length is above the cap already at p = 2, so the
         # power stops there instead of computing a huge p**f
         check_cap(p ** min(f, _FIELD_TABLE_CAP.bit_length()), _FIELD_TABLE_CAP, "field table")
-        from . import fieldtables  # loaded with the first extension field
-
-        if not fieldtables.is_irreducible(mod, p):
-            raise ValidationError("extension modulus is reducible")
-        super().__init__(p, f, mod, *fieldtables.tables(p, mod))
+        super().__init__(p, f, mod, *_field_tables(p, mod))
 
     def _key(self):
         return (self.p, self.degree, self.modulus)
@@ -264,7 +296,8 @@ class FqElement(Frozen):
 
 
 class WittRing(Frozen):
-    """W2 over a fixed finite field; carries are memoized per residue pair.
+    """W2 over a fixed finite field; carries come from a memo keyed by one
+    residue, at most q entries, which starts empty in every ring.
 
     Equal rings have equal fields: the memo is a cache, not part of the value.
     """
@@ -307,27 +340,36 @@ class WittRing(Frozen):
         return FqElement(self.field, self.carry_index(a0.index, b0.index))
 
     def carry_index(self, a, b):
-        """P_p on residue indices (memoized, read-many). Over F_p the indices
-        are the residues, so P_p is (a^p + b^p - (a+b)^p) / p read in Z/p^2:
-        three modular powers. Over an extension, with t = a / b,
-        P_p = -b^p sum_k c_k t^k, and Horner's rule in t takes one field
-        multiplication and one addition per c_k; P_p(a, 0) = 0."""
-        got = self._carry_memo.get((a, b))
-        if got is None:
-            field = self.field
-            got = 0
-            if field.degree == 1:
-                p = field.p
-                pp = p * p
-                got = (pow(a, p, pp) + pow(b, p, pp) - pow(a + b, p, pp)) % pp // p
-            elif b:
-                add, mul = field._add, field._mul
-                t = mul(a, field._inv(b))
-                for ck in reversed(self._carry_coeffs):
-                    got = add(mul(got, t), ck)
-                got = field._neg(mul(mul(got, t), field._frobenius(b)))
-            self._carry_memo[a, b] = got
-        return got
+        """P_p on residue indices, from a memo of at most q entries per ring.
+
+        Over F_p the indices are the residues, so P_p is
+        (a^p + b^p - (a+b)^p) / p read in Z/p^2; u^p mod p^2 depends only on
+        u mod p, so the memo maps each residue u to it. Over an extension,
+        P_p = b^p h(a/b) with h(t) = -sum_k c_k t^k, and the memo maps log t to
+        log h(t) (None where h(t) = 0), each built by Horner's rule in t, one
+        field multiplication and one addition per c_k; P_p is 0 when a or b is."""
+        field, memo = self.field, self._carry_memo
+        p = field.p
+        if field._log is None:
+            pp = p * p
+            try:
+                return (memo[a] + memo[b] - memo[(a + b) % p]) % pp // p
+            except KeyError:
+                pa, pb, ps = (memo.setdefault(u, pow(u, p, pp)) for u in (a, b, (a + b) % p))
+                return (pa + pb - ps) % pp // p
+        if not a or not b:
+            return 0
+        log, n = field._log, len(field._exp)
+        lb = log[b]
+        lt = (log[a] - lb) % n
+        try:
+            lh = memo[lt]
+        except KeyError:
+            add, mul, t, h = field._add, field._mul, field._exp[lt], 0
+            for ck in reversed(self._carry_coeffs):
+                h = add(mul(h, t), ck)
+            lh = memo[lt] = log[field._neg(mul(h, t))]
+        return 0 if lh is None else field._exp[(lh + p * lb) % n]
 
     def __repr__(self):
         return f"WittRing({self.field!r})"

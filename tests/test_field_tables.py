@@ -7,11 +7,14 @@ hold the tables to the polynomial multiply-and-reduce that built them, pin
 the value rules of the new representation, the table cap, and `times`.
 """
 
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -193,3 +196,63 @@ def test_times_equals_repeated_addition_on_a_sample_of_f101():
         x = ring.element(rng.randrange(101), rng.randrange(101))
         for k in range(21):
             assert x.times(k) == repeated(x, k)
+
+
+def test_equal_fields_share_one_set_of_tables(monkeypatch):
+    f1 = FiniteField(3, (2, 2, 1))
+    calls = []
+    for name in ("is_irreducible", "tables"):
+        work = getattr(fieldtables, name)
+        monkeypatch.setattr(fieldtables, name, lambda *a, work=work: calls.append(a) or work(*a))
+    f2 = FiniteField(3, [2, 2, 1])
+    assert f1._exp is f2._exp and f1._log is f2._log and f1._zech is f2._zech
+    for twin in (pickle.loads(pickle.dumps(f1)), copy.deepcopy(f1)):
+        assert twin == f1 and twin._exp is f1._exp
+    assert calls == []  # the second build, the unpickled and the copied field look up
+
+
+def test_a_reducible_modulus_is_refused_on_every_build():
+    for _ in range(2):  # x^2 + 2 = (x + 1)(x + 2) over F_3
+        with pytest.raises(ValidationError, match="extension modulus is reducible"):
+            FiniteField(3, (2, 0, 1))
+    assert (3, (2, 0, 1)) not in witt._TABLES
+
+
+def test_the_field_cache_holds_at_most_the_cap_in_residues():
+    big = FiniteField(2, (1,) + (0,) * 6 + (1,) + (0,) * 10 + (1,))  # x^18 + x^7 + 1
+    assert (big.p, big.modulus) in witt._TABLES
+    FiniteField(3, (2, 2, 1))
+    FiniteField(5, (2, 0, 1))
+    assert sum(len(log) for _, log, _ in witt._TABLES.values()) <= witt._FIELD_TABLE_CAP
+    assert (big.p, big.modulus) not in witt._TABLES  # least recently used, so dropped
+    assert {(3, (2, 2, 1)), (5, (2, 0, 1))} <= set(witt._TABLES)
+
+
+def test_threads_building_fields_at_once_get_equal_fields_on_shared_tables():
+    fields = ((3, (2, 2, 1)), (5, (2, 0, 1)), (7, (4, 0, 0, 1)))
+    built, errors = [], []
+
+    def build():
+        try:
+            built.append([FiniteField(p, m) for _ in range(50) for p, m in fields])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    with witt._TABLES_LOCK:
+        witt._TABLES.clear()  # so the first builds of each field race
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(built) == 4
+    for i, (p, m) in enumerate(fields):
+        same = [run[j] for run in built for j in range(i, len(run), len(fields))]
+        assert all(f == FiniteField(p, m) for f in same)
+        assert len({id(f._exp) for f in same}) == 1  # one set of tables per field

@@ -313,3 +313,27 @@ def test_prime_field_carry_is_horner_on_the_coefficients_at_2999():
     for _ in range(2000):
         a, b = rng.randrange(p), rng.randrange(p)
         assert ring.carry_index(a, b) == horner_carry(coeffs, p, a, b), (a, b)
+
+
+def test_prime_field_carry_memo_is_bounded_by_p():
+    # one entry per residue, u^p mod p^2, however many distinct pairs are added
+    p = 31123
+    ring = WittRing(FiniteField(p))
+    rng = random.Random(31123)
+    for _ in range(20000):
+        x = ring.element(rng.randrange(p), rng.randrange(p))
+        y = ring.element(rng.randrange(p), rng.randrange(p))
+        assert (x + y).ghost() == (x.ghost() + y.ghost()) % p**2
+    assert len(ring._carry_memo) <= p
+
+
+def test_extension_carry_memo_is_bounded_by_q_minus_one():
+    # one entry per log t, t = a / b, after all 343**2 pairs of first components
+    field = FiniteField(7, (4, 0, 0, 1))
+    ring = WittRing(field)
+    elements = list(field.elements())
+    for a in elements:
+        for b in elements:
+            total = ring.element(a, 0) + ring.element(b, 0)
+            assert total.i1 == ring.carry_index(b.index, a.index)  # P_p is symmetric
+    assert len(ring._carry_memo) <= field.order - 1
