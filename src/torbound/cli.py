@@ -19,7 +19,7 @@ import sys
 
 from .bounds import BoundInput, _sweep, threshold_debarre, threshold_lemma_p, torsion_bound
 from .combinatorics import check_weight, w_coeff, z_coeff
-from .errors import InternalConsistencyError, ValidationError, check_cap, check_int, exact_digits
+from .errors import InternalConsistencyError, ValidationError, check_cap, check_int, digits
 from .primes import next_prime
 from .series import TruncatedSeries
 from .witt import FiniteField, WittRing
@@ -59,35 +59,34 @@ def _exponents(args):
     raise ValidationError("one of --e or --e-list is required")
 
 
-@exact_digits()
 def report_json_dict(report):
     """Report as a dict of decimal strings, fixed key order."""
     return {
-        "n": str(report.n),
-        "c": str(report.c),
-        "e": [str(e) for e in report.exponents],
-        "degL": str(report.d),
-        "p": report.p_request if report.p_request == "auto" else str(report.p_request),
+        "n": digits(report.n),
+        "c": digits(report.c),
+        "e": [digits(e) for e in report.exponents],
+        "degL": digits(report.d),
+        "p": report.p_request if report.p_request == "auto" else digits(report.p_request),
         "mode": report.mode,
-        "threshold": str(report.threshold),
-        "prime_used": str(report.prime_used),
-        "deg_cotangent": str(report.deg_cotangent),
-        "w_table": [str(w) for w in report.w_table],
+        "threshold": digits(report.threshold),
+        "prime_used": digits(report.prime_used),
+        "deg_cotangent": digits(report.deg_cotangent),
+        "w_table": [digits(w) for w in report.w_table],
         "inner_sums": [
             {
-                "h": str(t.h),
-                "binom": str(t.binom_coeff),
-                "inner": str(t.inner_sum),
-                "term_paper": str(t.term_paper),
-                "term_dual": str(t.term_dual),
+                "h": digits(t.h),
+                "binom": digits(t.binom_coeff),
+                "inner": digits(t.inner_sum),
+                "term_paper": digits(t.term_paper),
+                "term_dual": digits(t.term_dual),
             }
             for t in report.terms
         ],
-        "deg_pex_paper": str(report.deg_pex_paper),
-        "deg_pex_dual": str(report.deg_pex_dual),
-        "deg_abelian": str(report.deg_abelian),
-        "bound_paper": str(report.bound_paper),
-        "bound_dual": str(report.bound_dual),
+        "deg_pex_paper": digits(report.deg_pex_paper),
+        "deg_pex_dual": digits(report.deg_pex_dual),
+        "deg_abelian": digits(report.deg_abelian),
+        "bound_paper": digits(report.bound_paper),
+        "bound_dual": digits(report.bound_dual),
         "flags": sorted(report.flags),
     }
 
@@ -96,41 +95,39 @@ def report_json_line(report):
     return json.dumps(report_json_dict(report), separators=(",", ":"))
 
 
-@exact_digits()
 def report_csv_row(report):
     """Report as one CSV line, in CSV_COLUMNS order, read from its fields."""
     r = report
-    return (f"{r.n},{r.c},{';'.join(map(str, r.exponents))},{r.d},{r.prime_used},"
-            f"{r.threshold},{r.deg_pex_paper},{r.deg_pex_dual},{r.deg_abelian},"
-            f"{r.bound_paper},{r.bound_dual},{';'.join(sorted(r.flags))}")
+    return (f"{digits(r.n)},{digits(r.c)},{';'.join(map(digits, r.exponents))},{digits(r.d)},"
+            f"{digits(r.prime_used)},{digits(r.threshold)},{digits(r.deg_pex_paper)},"
+            f"{digits(r.deg_pex_dual)},{digits(r.deg_abelian)},{digits(r.bound_paper)},"
+            f"{digits(r.bound_dual)},{';'.join(sorted(r.flags))}")
 
 
-@exact_digits()
 def report_table(report):
     lines = [
         "torsion bound report",
-        f"  n: {report.n}   c: {report.c}   "
-        f"e: {','.join(str(e) for e in report.exponents)}   "
-        f"degL: {report.d}   mode: {report.mode}",
-        f"  threshold: {report.threshold}   prime_used: {report.prime_used}",
-        f"  deg_cotangent: {report.deg_cotangent}",
-        f"  w_table: {', '.join(str(w) for w in report.w_table)}",
+        f"  n: {digits(report.n)}   c: {digits(report.c)}   "
+        f"e: {','.join(map(digits, report.exponents))}   "
+        f"degL: {digits(report.d)}   mode: {report.mode}",
+        f"  threshold: {digits(report.threshold)}   prime_used: {digits(report.prime_used)}",
+        f"  deg_cotangent: {digits(report.deg_cotangent)}",
+        f"  w_table: {', '.join(map(digits, report.w_table))}",
         "  h-terms:",
     ]
     rows = [("h", "binom", "inner", "term_paper", "term_dual")]
     for t in report.terms:
-        rows.append(
-            (str(t.h), str(t.binom_coeff), str(t.inner_sum),
-             str(t.term_paper), str(t.term_dual))
-        )
+        rows.append(tuple(map(digits, (t.h, t.binom_coeff, t.inner_sum,
+                                       t.term_paper, t.term_dual))))
     widths = [max(len(r[i]) for r in rows) for i in range(5)]
     for r in rows:
         padded = "  ".join(cell.ljust(w) for cell, w in zip(r, widths))
         lines.append("    " + padded.rstrip())
     lines += [
-        f"  deg_pex_paper: {report.deg_pex_paper}   deg_pex_dual: {report.deg_pex_dual}",
-        f"  deg_abelian: {report.deg_abelian}",
-        f"  bound_paper: {report.bound_paper}   bound_dual: {report.bound_dual}",
+        f"  deg_pex_paper: {digits(report.deg_pex_paper)}   "
+        f"deg_pex_dual: {digits(report.deg_pex_dual)}",
+        f"  deg_abelian: {digits(report.deg_abelian)}",
+        f"  bound_paper: {digits(report.bound_paper)}   bound_dual: {digits(report.bound_dual)}",
         f"  flags: {', '.join(sorted(report.flags)) if report.flags else '(none)'}",
     ]
     return "\n".join(lines)
@@ -185,7 +182,7 @@ def _cmd_threshold(args):
         if args.n is None or args.deg_omega is None:
             raise ValidationError("--n and --deg-omega are required for --kind lemma-p")
         t = threshold_lemma_p(args.n, args.deg_omega)
-    print(f"{t} {next_prime(t)}")
+    print(f"{digits(t)} {digits(next_prime(t))}")
     return 0
 
 
@@ -194,13 +191,13 @@ def _cmd_series_invert(args):
     check_int(args.order, "--order must be >= 0", low=0)
     series = TruncatedSeries(coeffs[: args.order + 1], order=args.order)
     inverse = series.invert()
-    print(",".join(str(a) for a in inverse.coefficients))
+    print(",".join(map(digits, inverse.coefficients)))
     return 0
 
 
 def _cmd_series_wtable(args):
     check_weight(args.max_m, "--max-m must be >= 0")
-    print(",".join(str(w_coeff(m, args.c)) for m in range(args.max_m + 1)))
+    print(",".join(digits(w_coeff(m, args.c)) for m in range(args.max_m + 1)))
     return 0
 
 
@@ -208,7 +205,7 @@ def _cmd_series_ztable(args):
     exps = _int_list(args.e_list, "--e-list")
     check_weight(args.max_i, "--max-i must be >= 0")
     c = len(exps)
-    print(",".join(str(z_coeff(i, c, exps)) for i in range(args.max_i + 1)))
+    print(",".join(digits(z_coeff(i, c, exps)) for i in range(args.max_i + 1)))
     return 0
 
 
@@ -234,9 +231,9 @@ def _cmd_witt(args):
     elif args.op == "verschiebung":
         result = x.verschiebung()
     else:  # ghost
-        print(x.ghost())
+        print(digits(x.ghost()))
         return 0
-    print(f"{result.a0.lift()},{result.a1.lift()}")
+    print(f"{digits(result.a0.lift())},{digits(result.a1.lift())}")
     return 0
 
 
@@ -310,10 +307,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        with exact_digits():
-            code = args.func(args)
-            sys.stdout.flush()
-            return code
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # the reader closed stdout (say, `| head`): point stdout at devnull so
         # the flush at exit cannot fail again, and end quietly

@@ -1,15 +1,14 @@
 """Exception types shared across the package, its one integer rule, its
 one sequence rule, its one cap rule, its one two-route rule, its one
-immutable-value base and its one rule for printing big integers.
+immutable-value base and its one printing rule, digits.
 
 Validation failures and internal consistency failures are kept distinct so
 callers (and the CLI exit-code mapping) can tell bad input apart from a bug
 in the arithmetic itself.
 """
 
-import functools
-import sys
-import threading
+import decimal
+from fractions import Fraction
 
 
 class ValidationError(ValueError):
@@ -61,50 +60,42 @@ def check_cap(value, cap, what):
     return value
 
 
-class _Depth(threading.local):
-    depth = 0  # exact_digits blocks this thread has open
+# str of an int under 2**2048 has at most 617 digits, below 640, the least
+# nonzero int-to-str limit CPython accepts, so no limit can refuse it
+_LEAF_BITS = 2048
+_SHORT = 1 << _LEAF_BITS
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact])
 
 
-class exact_digits:
-    """Print exact integers of any length: lift CPython's 4300-digit
-    int-to-str limit for a with-block or a decorated call. The limit is the
-    interpreter's, so one lift serves every thread: the first thread in saves
-    and lifts it, the last one out restores it. Blocks and calls nest."""
+def digits(n):
+    """The package's printing rule: the exact decimal string of the int n.
 
-    __slots__ = ()
-    _lock = threading.Lock()
-    _held = [0, None]  # threads inside a block, and the limit the first one found
-    _local = _Depth()
+    It never reads or sets CPython's int-to-str digit limit. A short int is
+    str(n). A longer one is split by bits down to _LEAF_BITS-bit leaves, each
+    leaf converted by decimal, which has no such limit, and the halves joined
+    with powers of 2 in an exact context: int_to_decimal_string in CPython
+    3.12's Lib/_pylong.py, subquadratic on every supported Python.
+    """
+    if -_SHORT < n < _SHORT:
+        return str(n)
+    powers = {}
 
-    def __enter__(self):
-        if not self._local.depth:
-            with self._lock:
-                held = self._held
-                if not held[0]:
-                    held[1] = sys.get_int_max_str_digits()
-                    sys.set_int_max_str_digits(0)
-                held[0] += 1
-        self._local.depth += 1
+    def power(w):  # Decimal 2**w
+        if w not in powers:
+            half = w >> 1
+            powers[w] = (_EXACT.power(2, w) if w <= _LEAF_BITS
+                         else _EXACT.multiply(power(half), power(w - half)))
+        return powers[w]
 
-    def __exit__(self, *exc_info):
-        self._local.depth -= 1
-        if not self._local.depth:
-            with self._lock:
-                held = self._held
-                held[0] -= 1
-                if not held[0]:
-                    sys.set_int_max_str_digits(held[1])
+    def convert(m, w):  # Decimal m, for 0 <= m < 2**w
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        high = m >> half
+        return _EXACT.fma(convert(high, w - half), power(half), convert(m - (high << half), half))
 
-    def __call__(self, fn):
-        local = self._local
-
-        @functools.wraps(fn)
-        def exact(*args, **kwargs):
-            if local.depth:  # this thread holds the lift: the per-row case
-                return fn(*args, **kwargs)
-            with self:
-                return fn(*args, **kwargs)
-        return exact
+    return ("-" if n < 0 else "") + str(convert(abs(n), abs(n).bit_length()))
 
 
 def check_routes(what, first, second, where=None):
@@ -126,9 +117,9 @@ def check_routes(what, first, second, where=None):
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             at = where and " at " + where.format(i)
-            with exact_digits():
-                message = f"{what} disagrees{at}: {route_a} {x}, {route_b} {y}"
-            raise InternalConsistencyError(message)
+            raise InternalConsistencyError(
+                f"{what} disagrees{at}: {route_a} {digits(x)}, {route_b} {digits(y)}"
+            )
     return first[1]
 
 
@@ -181,10 +172,21 @@ class Frozen:
     def __hash__(self):
         return hash(self._key())
 
-    @exact_digits()
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_exact_repr(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _exact_repr(value):
+    """repr(value) with its ints, in a tuple or a Fraction too, printed by digits."""
+    if type(value) is int:
+        return digits(value)
+    if type(value) is tuple:
+        items = ", ".join(map(_exact_repr, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    if type(value) is Fraction:
+        return f"Fraction({digits(value.numerator)}, {digits(value.denominator)})"
+    return repr(value)
 
 
 class CapacityError(ValidationError):

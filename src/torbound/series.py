@@ -9,7 +9,7 @@ variety of dimension N, with l a fixed polarization, is a series of order N.
 
 from fractions import Fraction
 
-from .errors import Frozen, ValidationError, check_cap, check_int, check_tuple, exact_digits
+from .errors import Frozen, ValidationError, _exact_repr, check_cap, check_int, check_tuple
 
 # Inversion and products are quadratic in the order: inverting (1, 1) at
 # order 4000 takes about 0.7 s (2-vCPU Xeon, CPython 3.11).
@@ -118,6 +118,5 @@ class TruncatedSeries(Frozen):
             order=self.order,
         )
 
-    @exact_digits()
     def __repr__(self):
-        return f"TruncatedSeries({self.coefficients!r})"
+        return f"TruncatedSeries({_exact_repr(self.coefficients)})"

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from torbound import errors, torsion_bound, BoundInput
+from torbound import errors, torsion_bound, verify_slope_chain, BoundInput
 from torbound.bounds import BoundShape
 from torbound.witt import WittPair
 from torbound.primes import DETERMINISTIC_LIMIT
@@ -143,36 +143,10 @@ def test_report_repr_prints_big_integers_exactly():
     limit = sys.get_int_max_str_digits()
     report = torsion_bound(BoundInput(180, 179, (1,) * 179, 1, p=BIG_P))
     assert f"deg_abelian={exact_digits(BIG_P**360)}," in repr(report)
+    chain = verify_slope_chain(2, 10**5000, 5)
+    assert (f"threshold={exact_digits(chain.threshold)}, mu_min=Fraction(1, 2), "
+            f"mu_max=Fraction({'9' * 5000}, 1),") in repr(chain)
     assert sys.get_int_max_str_digits() == limit
-
-
-def test_exact_digits_nests_and_restores_on_an_exception():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(5000)
-    try:
-        @errors.exact_digits()
-        def fails():
-            """Print a big integer, then raise."""
-            assert len(str(10**6000)) == 6001
-            raise KeyError("fails")
-
-        block = errors.exact_digits()
-        with pytest.raises(KeyError):
-            with block:
-                with block:
-                    assert sys.get_int_max_str_digits() == 0
-                assert sys.get_int_max_str_digits() == 0
-                with pytest.raises(KeyError):
-                    fails()
-                assert sys.get_int_max_str_digits() == 0
-                fails()
-        assert sys.get_int_max_str_digits() == 5000
-        with pytest.raises(KeyError):
-            fails()
-        assert sys.get_int_max_str_digits() == 5000
-        assert (fails.__name__, fails.__doc__) == ("fails", "Print a big integer, then raise.")
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def test_parser_is_built_once():

@@ -120,6 +120,7 @@ def test_record_reprs_are_pinned(name):
 
 def test_bound_input_stores_exponents_as_a_tuple():
     assert BoundInput(3, 2, [1, 1], 1).exponents == (1, 1)
+    assert "exponents=(1,)," in repr(BoundInput(2, 1, (1,), 1))
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
