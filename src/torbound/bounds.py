@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .chern import _check_codimension, _cotangent_degree, _normal_series, _validate_geometry
 from .combinatorics import _complete_table, _elementary_table
-from .errors import Frozen, ValidationError, check_cap, check_int, check_routes
+from .errors import Frozen, ValidationError, check_cap, check_int, check_routes, digits
 from .primes import DETERMINISTIC_LIMIT, is_prime, next_prime
 
 CONVENTIONS = ("paper", "dual")
@@ -213,7 +213,7 @@ def _validate_prime(p, threshold):
     check_int(p, "p must be an int or 'auto'")
     _check_prime(p)
     if not p > threshold:
-        raise ValidationError(f"p > threshold violated (threshold {threshold})")
+        raise ValidationError(f"p > threshold violated (threshold {digits(threshold)})")
     return p
 
 

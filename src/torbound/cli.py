@@ -10,8 +10,8 @@ invocation.
 """
 
 import argparse
+import decimal
 import functools
-import itertools
 import json
 import operator
 import os
@@ -38,10 +38,11 @@ MAX_SWEEP_WIDTH = 10**5
 
 def integer(text, message="not an integer"):
     """The CLI's integer rule: an optional "-" then the ASCII digits 0-9, read as
-    an int; else ValidationError(message), which argparse reports as a bad type."""
+    an int of any length; else ValidationError(message), which argparse reports
+    as a bad type. It reads through decimal, which has no int-from-str digit limit."""
     if not (text.isascii() and text.removeprefix("-").isdigit()):
         raise ValidationError(message)
-    return int(text)
+    return int(decimal.Decimal(text))
 
 
 def _int_list(text, what):
@@ -52,8 +53,8 @@ def _int_list(text, what):
 def _exponents(args):
     if args.e is not None and args.e_list is not None:
         raise ValidationError("give either --e or --e-list, not both")
-    if args.e is not None:  # read once, after c is checked
-        return itertools.repeat(args.e, args.c)
+    if args.e is not None:  # read once, after c is checked; range takes c of any size
+        return (args.e for _ in range(args.c))
     if args.e_list is not None:
         return _int_list(args.e_list, "--e-list")
     raise ValidationError("one of --e or --e-list is required")

@@ -16,7 +16,7 @@ answer.
 import bisect
 import math
 
-from .errors import CapacityError, ValidationError, check_int
+from .errors import CapacityError, ValidationError, check_int, digits
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # _PSI[k - 1] = psi_k; psi_7 = psi_8 and psi_9 = psi_10 = psi_11
@@ -36,7 +36,7 @@ def is_prime(n):
         raise ValidationError("primality input must be >= 0")
     if n >= DETERMINISTIC_LIMIT:
         raise CapacityError(
-            f"{n} is beyond the deterministic witness range (< {DETERMINISTIC_LIMIT})"
+            f"{digits(n)} is beyond the deterministic witness range (< {DETERMINISTIC_LIMIT})"
         )
     if n <= _BASES[-1]:
         return n in _BASES

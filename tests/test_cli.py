@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from torbound import errors, torsion_bound, verify_slope_chain, BoundInput
-from torbound.bounds import BoundShape
+from torbound.bounds import BoundShape, threshold_debarre
 from torbound.witt import WittPair
 from torbound.primes import DETERMINISTIC_LIMIT
 from torbound.cli import (
@@ -149,6 +149,37 @@ def test_report_repr_prints_big_integers_exactly():
     assert sys.get_int_max_str_digits() == limit
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_cli_reads_integers_past_the_str_limit(capsys, limit):
+    # a list entry past the int-to-str limit is read and printed exactly
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, out, err = run_cli(capsys, "series", "invert",
+                                 "--coeffs", f"1,{NINES}", "--order", "1")
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (code, out, err) == (0, f"1,-{NINES}\n", "")
+
+
+def test_refusals_print_big_integers_exactly(capsys):
+    code, out, err = run_cli(capsys, "bound", "--n", "2", "--c", "1", "--e", "2",
+                             "--degL", "1", "--p", NINES)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {NINES} is beyond the deterministic witness range "
+                   f"(< {DETERMINISTIC_LIMIT})\n")
+    exps = (7 * (10**4000 - 1) // 9,) * 30
+    threshold = exact_digits(threshold_debarre(31, 30, exps, 1))
+    assert len(threshold) > 4300
+    code, out, err = run_cli(capsys, "bound", "--n", "31", "--c", "30",
+                             "--e-list", ",".join(map(str, exps)), "--degL", "1", "--p", "5")
+    assert (code, out, err) == (2, "", f"error: p > threshold violated (threshold {threshold})\n")
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -181,6 +212,10 @@ def test_series_ztable(capsys):
     (("bound", "--n", "4", "--c", "2", "--e", "30", "--degL", "1",
       "--sweep-p", "5:100006"),
      "sweep range cap exceeded (100000)"),
+    (("series", "invert", "--coeffs", "1,1", "--order", NINES),
+     "series order cap exceeded (4000)"),
+    (("bound", "--n", "3", "--c", NINES, "--e", "1", "--degL", "1"),
+     "1 <= c <= n-1 violated"),
 ])
 def test_oversize_input_is_refused_before_work(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
