@@ -10,8 +10,8 @@ both are always reported, never adjudicated.
 
 The closed form reads its inner sums, the paper's double composition sums,
 as elementary symmetric values (inverting twice gives the series back), in
-time polynomial in n - c; the composition-sum kernel serves only the series
-toolkit and the tests.
+time polynomial in n - c; the composition-sum kernel serves only the tests,
+as the definition the closed forms are checked against.
 """
 
 import itertools
@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .chern import _check_codimension, _cotangent_degree, _normal_series, _validate_geometry
-from .combinatorics import _complete_table, _elementary_table
+from .combinatorics import _closed_forms
 from .errors import Frozen, ValidationError, check_cap, check_int, check_routes, digits
 from .primes import DETERMINISTIC_LIMIT, is_prime, next_prime
 
@@ -100,15 +100,9 @@ def _closed_form_rows(n, c, exps, d, uniform):
     # (sigma p)**m with sigma = -1 (paper) or +1 (dual). inner is the paper's
     # double composition sum; it inverts the inverse of prod(1 + e_j t), so it
     # is e_m, or binom(c, m) when uniform. The returned w_table is that
-    # inverse: (-1)**i * h_i, or (-1)**i * binom(c+i-1, i) when uniform.
-    # exps are checked: the symmetric tables take them as they are
+    # inverse. exps are checked: the symmetric tables take them as they are
     dim = n - c
-    if uniform:
-        inners = tuple(math.comb(c, m) for m in range(dim + 1))
-        table = tuple((-1) ** i * math.comb(c + i - 1, i) for i in range(dim + 1))
-    else:
-        inners = _elementary_table(exps, dim)
-        table = tuple((-1) ** i * h for i, h in enumerate(_complete_table(exps, dim)))
+    inners, table = _closed_forms(dim, c, None if uniform else exps)
     scale = exps[0] if uniform else 1  # e**(n-h) = e**c * e**m
     weight = math.prod(exps) * d
     rows = []
@@ -143,8 +137,8 @@ def _degree_sums(rows, p):
 
 def pex_closed_form_uniform(n, c, e, d, p, convention):
     """Jet-bundle degree, literal alternating-sum closed form, equal exponents."""
-    check_int(c, "1 <= c <= n-1 violated")  # itertools.repeat takes only an int c
-    return _pex_closed_form(n, c, itertools.repeat(e, c), d, p, convention, True)
+    check_int(c, "1 <= c <= n-1 violated")  # range takes only an int c, of any size
+    return _pex_closed_form(n, c, (e for _ in range(c)), d, p, convention, True)
 
 
 def pex_closed_form_general(n, c, exponents, d, p, convention):

@@ -10,7 +10,7 @@ codimension j.
 
 import math
 
-from .combinatorics import inverse_series_coeff
+from .combinatorics import _elementary_table
 from .errors import ValidationError, check_int, check_ints, check_routes, check_tuple
 from .series import TruncatedSeries
 
@@ -84,16 +84,16 @@ def frobenius_scale(series, p):
 def segre_cotangent(m, c, exponents, order):
     """Coefficient m of the Segre series of the cotangent bundle.
 
-    Computed twice: by the inversion recurrence and by the closed-form
-    composition sum over the cotangent Chern head. Disagreement is a hard
-    error, never reconciled silently.
+    Computed twice: by inverting the cotangent Chern series, and in closed
+    form as (-1)**m * e_m of the exponents (the normal series at t -> -t).
+    Disagreement is a hard error, never reconciled silently.
     """
     check_int(order, "series order must be >= 0")
     check_int(m, f"coefficient index {m} outside [0, {order}]", low=0, high=order)
-    comega = cotangent_chern(c, exponents, order)
-    head = tuple(comega.coefficient(j) for j in range(1, m + 1))
+    exps = _check_exponents(check_int(c, "c must be >= 1", low=1), exponents)
+    comega = _normal_series(exps, order).invert().scale_variable(-1)  # cotangent_chern
     return check_routes(f"segre coefficient {m}", ("recurrence", comega.invert().coefficient(m)),
-                        ("closed form", inverse_series_coeff(head, m)))
+                        ("closed form", (-1) ** m * _elementary_table(exps, m)[m]))
 
 
 def top_integral(n, c, exponents, d):

@@ -18,8 +18,10 @@ import os
 import sys
 
 from .bounds import BoundInput, _sweep, threshold_debarre, threshold_lemma_p, torsion_bound
-from .combinatorics import check_weight, w_coeff, z_coeff
-from .errors import InternalConsistencyError, ValidationError, check_cap, check_int, digits
+from .chern import _normal_series
+from .combinatorics import _closed_forms, check_weight
+from .errors import (InternalConsistencyError, ValidationError, check_cap, check_int,
+                     check_routes, digits)
 from .primes import next_prime
 from .series import TruncatedSeries
 from .witt import FiniteField, WittRing
@@ -196,17 +198,19 @@ def _cmd_series_invert(args):
     return 0
 
 
-def _cmd_series_wtable(args):
-    check_weight(args.max_m, "--max-m must be >= 0")
-    print(",".join(digits(w_coeff(m, args.c)) for m in range(args.max_m + 1)))
-    return 0
-
-
-def _cmd_series_ztable(args):
-    exps = _int_list(args.e_list, "--e-list")
-    check_weight(args.max_i, "--max-i must be >= 0")
-    c = len(exps)
-    print(",".join(digits(z_coeff(i, c, exps)) for i in range(args.max_i + 1)))
+def _cmd_series_table(args):
+    # the inverse of (1 + t)**c or prod_j (1 + e_j t), checked against the recurrence
+    if args.series_command == "wtable":
+        m = check_weight(args.max_m, "--max-m must be >= 0")
+        normal, table = _closed_forms(m, check_int(args.c, "c must be >= 1", low=1))
+    else:
+        exps = _int_list(args.e_list, "--e-list")
+        m = check_weight(args.max_i, "--max-i must be >= 0")
+        _, table = _closed_forms(m, len(exps), exps)
+        normal = _normal_series(exps, m).coefficients  # the product, as bound_shape builds it
+    check_routes(args.series_command, ("closed form", table),
+                 ("recurrence", TruncatedSeries(normal).invert().coefficients), "t**{}")
+    print(",".join(map(digits, table)))
     return 0
 
 
@@ -285,13 +289,13 @@ def build_parser():
     p_wtable = series_sub.add_parser("wtable", help="inverse-power coefficient table")
     p_wtable.add_argument("--c", type=integer, required=True)
     p_wtable.add_argument("--max-m", type=integer, required=True)
-    p_wtable.set_defaults(func=_cmd_series_wtable)
+    p_wtable.set_defaults(func=_cmd_series_table)
 
     p_ztable = series_sub.add_parser("ztable",
                                      help="inverse product-series coefficient table")
     p_ztable.add_argument("--e-list", required=True)
     p_ztable.add_argument("--max-i", type=integer, required=True)
-    p_ztable.set_defaults(func=_cmd_series_ztable)
+    p_ztable.set_defaults(func=_cmd_series_table)
 
     p_witt = sub.add_parser("witt", help="length-2 Witt vector arithmetic")
     p_witt.add_argument("--p", type=integer, required=True)

@@ -5,9 +5,9 @@ partition of m has: multiplicities (r_1, r_2, ...) with sum i*r_i = m.
 Summing signed multinomials over all of them, weighted by powers of a head
 sequence, yields the coefficients of an inverted power series in closed form
 (inverse_series_coeff); the series module's recurrence is its oracle.
-That kernel now serves only the series toolkit (w_coeff, z_coeff,
-segre_cotangent) and the tests. The bound's closed form reads the elementary
-and complete symmetric tables instead, which are polynomial in the degree.
+That kernel is the definition w_coeff, z_coeff and the tests check against.
+The bound, the series tables and segre_cotangent read the elementary and
+complete symmetric tables instead, which are polynomial in the degree.
 """
 
 import math
@@ -156,6 +156,17 @@ def _complete_table(vals, i):
         for j in range(1, i + 1):
             h[j] += x * h[j - 1]
     return tuple(h)
+
+
+def _closed_forms(order, c, exps=None):
+    # coefficients 0..order of prod_j (1 + e_j t) and of its inverse, e_i and
+    # (-1)**i * h_i of exps; with no exps, of (1 + t)**c and of its inverse,
+    # binom(c, i) and (-1)**i * binom(c + i - 1, i), the h_i of c ones
+    if exps is None:
+        return (tuple(math.comb(c, i) for i in range(order + 1)),
+                tuple((-1) ** i * math.comb(c + i - 1, i) for i in range(order + 1)))
+    return _elementary_table(exps, order), tuple(
+        (-1) ** i * h for i, h in enumerate(_complete_table(exps, order)))
 
 
 def sym_complete(values, i):

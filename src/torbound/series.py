@@ -100,14 +100,16 @@ class TruncatedSeries(Frozen):
     def invert(self):
         """Multiplicative inverse, requires constant term exactly 1.
 
-        b_0 = 1, b_m = -sum_{k=1..m} a_k b_{m-k}.
+        b_0 = 1, b_m = -sum_{k=1..m} a_k b_{m-k}, over the nonzero a_k only.
         """
         a = self.coefficients
         if a[0] != 1:
             raise ValidationError("constant term must be 1 to invert")
-        b = [1]
+        b, live = [1], []  # live: the (k, a_k) with a_k nonzero and 1 <= k <= m
         for m in range(1, self.order + 1):
-            b.append(-sum(a[k] * b[m - k] for k in range(1, m + 1)))
+            if a[m]:
+                live.append((m, a[m]))
+            b.append(-sum(x * b[m - k] for k, x in live))
         return TruncatedSeries(tuple(b), order=self.order)
 
     def scale_variable(self, factor):

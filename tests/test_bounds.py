@@ -132,6 +132,11 @@ class TestDegPex:
             with pytest.raises(ValidationError):
                 pex_closed_form_uniform(4, c, e, 1, 7, "paper")
 
+    def test_uniform_closed_form_refuses_a_huge_c_by_the_codimension_rule(self):
+        # c exponents are never built for a c the codimension rule refuses
+        with pytest.raises(ValidationError, match=r"^1 <= c <= n-1 violated$"):
+            pex_closed_form_uniform(3, 10**30, 1, 1, 5, "paper")
+
     def test_convention_validation(self):
         with pytest.raises(ValidationError):
             deg_pex(2, 1, (2,), 1, 5, "mixed")

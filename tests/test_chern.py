@@ -121,9 +121,9 @@ def test_segre_cotangent_nonuniform_paths_agree():
 
 def test_segre_cotangent_route_fires(monkeypatch):
     # S(t) = (1 - t)**2 for c = 2, e = (1, 1): coefficient 2 is 1
-    real = torbound.chern.inverse_series_coeff
-    monkeypatch.setattr(torbound.chern, "inverse_series_coeff",
-                        lambda head, m: real(head, m) + 1)
+    real = torbound.chern._elementary_table
+    monkeypatch.setattr(torbound.chern, "_elementary_table",
+                        lambda vals, j: tuple(x + 1 for x in real(vals, j)))
     with pytest.raises(InternalConsistencyError, match="segre coefficient") as info:
         segre_cotangent(2, 2, (1, 1), 3)
     assert str(info.value) == "segre coefficient 2 disagrees: recurrence 1, closed form 2"

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,14 @@ def test_product_example():
 def test_invert_example():
     s = TruncatedSeries((1, 2, 1))
     assert s.invert().coefficients == (1, -2, 3)
+
+
+def test_invert_skips_zero_coefficients():
+    # (1 + 10**6 t)**-1 at the order cap: one product per coefficient
+    start = time.perf_counter()
+    inverse = TruncatedSeries((1, 10**6), order=4000).invert()
+    assert time.perf_counter() - start < 2.0
+    assert inverse.coefficients == tuple((-10**6) ** i for i in range(4001))
 
 
 def test_invert_needs_unit_constant_term():
