@@ -21,7 +21,7 @@ from fractions import Fraction
 from .chern import _check_codimension, _cotangent_degree, _normal_series, _validate_geometry
 from .combinatorics import _closed_forms
 from .errors import Frozen, ValidationError, check_cap, check_int, check_routes, digits
-from .primes import DETERMINISTIC_LIMIT, is_prime, next_prime
+from .primes import check_prime, next_prime, primes_from
 
 CONVENTIONS = ("paper", "dual")
 MODES = ("paper", "dual", "both")
@@ -55,12 +55,6 @@ def _validate_bound_shape(n, c, exponents, d):
     bits = [e.bit_length() for e in exps]
     check_cap((dim + 1) * (dim * max(bits) + sum(bits)), MAX_BOUND_BITS, "bound size")
     return exps
-
-
-def _check_prime(p):
-    if not is_prime(p):
-        raise ValidationError("p must be prime")
-    return p
 
 
 def _column(convention):
@@ -148,7 +142,7 @@ def pex_closed_form_general(n, c, exponents, d, p, convention):
 
 def _pex_closed_form(n, c, exponents, d, p, convention, uniform):
     exps = _validate_bound_shape(n, c, exponents, d)
-    _check_prime(p)
+    check_prime(p, "p must be prime")
     column = _column(convention)
     rows, _ = _closed_form_rows(n, c, exps, d, uniform)
     return _degree_sums(rows, p)[column]
@@ -178,8 +172,8 @@ def pex_terms(n, c, exponents, d, p):
     InternalConsistencyError.
     """
     exps = _validate_bound_shape(n, c, exponents, d)
-    _check_prime(p)
-    return _bound_shape(n, c, exps, d).terms(p)
+    check_prime(p, "p must be prime")
+    return _terms(_bound_shape(n, c, exps, d).rows, n - c, p)
 
 
 def deg_pex(n, c, exponents, d, p, convention):
@@ -189,7 +183,7 @@ def deg_pex(n, c, exponents, d, p, convention):
     """
     column = _column(convention)
     exps = _validate_bound_shape(n, c, exponents, d)
-    _check_prime(p)
+    check_prime(p, "p must be prime")
     return _degree_sums(_bound_shape(n, c, exps, d).rows, p)[column]
 
 
@@ -197,15 +191,14 @@ def deg_abelian_bound(n, d, p):
     """Degree bound for the image of the abelian variety under times-p: p**(2n)*d."""
     check_int(n, "n >= 1 violated", low=1)
     check_int(d, "degL >= 1 violated", low=1)
-    return _check_prime(p) ** (2 * n) * d
+    return check_prime(p, "p must be prime") ** (2 * n) * d
 
 
 def _validate_prime(p, threshold):
     # the one admission rule: a prime above the threshold, or "auto", the least
     if p == "auto":
         return next_prime(threshold)
-    check_int(p, "p must be an int or 'auto'")
-    _check_prime(p)
+    check_prime(check_int(p, "p must be an int or 'auto'"), "p must be prime")
     if not p > threshold:
         raise ValidationError(f"p > threshold violated (threshold {digits(threshold)})")
     return p
@@ -278,8 +271,8 @@ class BoundShape(Frozen):
         return len(set(self.exponents)) == 1
 
     def terms(self, p):
-        """The PexTerm rows at p."""
-        return _terms(self.rows, self.n - self.c, p)
+        """The PexTerm rows at p, which must be prime."""
+        return _terms(self.rows, self.n - self.c, check_prime(p, "p must be prime"))
 
     def report(self, p_request="auto", mode="both"):
         """The report at p_request: a prime above the threshold, or "auto"."""
@@ -362,18 +355,11 @@ def torsion_bound(inp):
 
 
 def _sweep(n, c, exps, d, lo, hi, mode):
-    # The reports at each admissible prime in [lo, hi], streamed, mode checked.
-    # Each candidate (odd past 2) is tested once as rows stream, so a range
-    # reaching the witness limit is refused first, by is_prime on its first
-    # candidate there, before any output; the shape is built and verified
-    # once a first prime is found.
+    # The reports at each admissible prime in [lo, hi], streamed as primes_from
+    # finds them, mode checked; the shape is built and verified once a first
+    # prime is found.
     exps = _validate_bound_shape(n, c, exps, d)
-    first = max(lo, _threshold(n, c, exps, d) + 1)
-    start = max(first, 3) | 1
-    if max(start, DETERMINISTIC_LIMIT) <= hi:
-        is_prime(max(start, DETERMINISTIC_LIMIT))  # raises CapacityError
-    primes = filter(is_prime, itertools.chain([2] if first <= 2 <= hi else (),
-                                              range(start, hi + 1, 2)))
+    primes = primes_from(max(lo, _threshold(n, c, exps, d) + 1), hi)
     q = next(primes, None)
     if q is None:
         return ()
@@ -400,7 +386,7 @@ def verify_slope_chain(n_dim, deg_omega, p):
     is exact rational.
     """
     threshold = threshold_lemma_p(n_dim, deg_omega)
-    _check_prime(p)
+    check_prime(p, "p must be prime")
     mu_min = Fraction(1, n_dim)
     mu_max = Fraction(deg_omega - 1)
     return SlopeChainReport(n_dim, deg_omega, p, threshold, mu_min, mu_max, p > threshold,

@@ -12,7 +12,7 @@ import math
 
 from .combinatorics import _elementary_table
 from .errors import ValidationError, check_int, check_ints, check_routes, check_tuple
-from .series import TruncatedSeries
+from .series import TruncatedSeries, check_order
 
 
 def _validate_geometry(n, c, exponents, d):
@@ -88,7 +88,7 @@ def segre_cotangent(m, c, exponents, order):
     form as (-1)**m * e_m of the exponents (the normal series at t -> -t).
     Disagreement is a hard error, never reconciled silently.
     """
-    check_int(order, "series order must be >= 0")
+    check_order(order, "series order must be >= 0")
     check_int(m, f"coefficient index {m} outside [0, {order}]", low=0, high=order)
     exps = _check_exponents(check_int(c, "c must be >= 1", low=1), exponents)
     comega = _normal_series(exps, order).invert().scale_variable(-1)  # cotangent_chern

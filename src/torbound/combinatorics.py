@@ -14,7 +14,7 @@ import math
 
 from .errors import (Frozen, InternalConsistencyError, ValidationError, check_cap, check_int,
                      check_ints, check_tuple)
-from .series import _check_scalars
+from .series import _check_scalars, check_order
 
 # Enumeration is exponential in the weight (partition count); anything past
 # this cap is a sign the caller is misusing a desk-scale tool.
@@ -116,7 +116,7 @@ def sym_elementary_table(values, j):
     per monomial. Entries beyond the number of values are 0.
     """
     return _elementary_table(check_ints(values, "symmetric-function values must be ints"),
-                             check_int(j, "symmetric-function degree must be >= 0", low=0))
+                             check_order(j, "symmetric-function degree must be >= 0"))
 
 
 def _elementary_table(vals, j):
@@ -147,7 +147,7 @@ def sym_complete_table(values, i):
     so it stays an independent oracle for z_coeff.
     """
     return _complete_table(check_ints(values, "symmetric-function values must be ints"),
-                           check_int(i, "symmetric-function degree must be >= 0", low=0))
+                           check_order(i, "symmetric-function degree must be >= 0"))
 
 
 def _complete_table(vals, i):

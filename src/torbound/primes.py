@@ -1,4 +1,5 @@
-"""Deterministic primality testing and next-prime search.
+"""Deterministic primality, and the package's one prime rule: primes_from
+walks the candidates, check_prime admits a prime.
 
 Miller-Rabin to the first k prime bases is deterministic below psi_k, the
 least strong pseudoprime to all of them (OEIS A014233): 2 and 3 decide every
@@ -14,6 +15,7 @@ answer.
 """
 
 import bisect
+import itertools
 import math
 
 from .errors import CapacityError, ValidationError, check_int, digits
@@ -58,16 +60,29 @@ def is_prime(n):
     return True
 
 
+def check_prime(p, message):
+    """The package's must-be-prime rule: p, or ValidationError(message)."""
+    if not is_prime(p):
+        raise ValidationError(message)
+    return p
+
+
+def primes_from(lo, hi=None):
+    """The primes in [lo, hi] ascending, without end when hi is None: 2 when in
+    range, then each odd candidate tested once as the iterator is read. A bounded
+    range reaching DETERMINISTIC_LIMIT is refused on the call, before any test,
+    by is_prime's CapacityError for its first odd candidate there."""
+    message = "prime range bounds must be ints"
+    start = max(check_int(lo, message), 3) | 1
+    if hi is not None and max(start, DETERMINISTIC_LIMIT) <= check_int(hi, message):
+        is_prime(max(start, DETERMINISTIC_LIMIT))  # raises CapacityError
+    odds = itertools.count(start, 2) if hi is None else range(start, hi + 1, 2)
+    two = (2,) if lo <= 2 and (hi is None or hi >= 2) else ()
+    return itertools.chain(two, filter(is_prime, odds))
+
+
 def next_prime(x):
     """Smallest prime strictly greater than x."""
     if check_int(x, "next_prime input must be an int") < 0:
         raise ValidationError("next_prime input must be >= 0")
-    n = x + 1
-    if n <= 2:
-        return 2
-    if n % 2 == 0:
-        n += 1
-    while True:
-        if is_prime(n):
-            return n
-        n += 2
+    return next(primes_from(x + 1))

@@ -16,6 +16,11 @@ from .errors import Frozen, ValidationError, _exact_repr, check_cap, check_int, 
 MAX_SERIES_ORDER = 4000
 
 
+def check_order(order, message):
+    """order as a series order: an int >= 0 (else message), at most the cap."""
+    return check_cap(check_int(order, message, low=0), MAX_SERIES_ORDER, "series order")
+
+
 def _check_scalars(values):
     # the scalar rule: values, any iterable, as a tuple of ints and Fractions
     values = check_tuple(values, "coefficients must be a sequence of int or Fraction")
@@ -40,8 +45,7 @@ class TruncatedSeries(Frozen):
             if not coeffs:
                 raise ValidationError("series needs at least the constant coefficient")
             order = len(coeffs) - 1
-        check_cap(check_int(order, "series order must be >= 0", low=0), MAX_SERIES_ORDER,
-                  "series order")
+        check_order(order, "series order must be >= 0")
         if len(coeffs) > order + 1:
             raise ValidationError(
                 f"got {len(coeffs)} coefficients for order {order}; refusing to truncate"

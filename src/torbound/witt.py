@@ -24,7 +24,7 @@ import math
 import threading
 
 from .errors import Frozen, ValidationError, check_cap, check_int, check_ints
-from .primes import is_prime
+from .primes import check_prime
 
 # the range of carry_coefficients, whose exact binomials grow like p**2.7
 # (p = 2999 builds them in about 0.6 s); only extension rings, p <= 509 under the
@@ -40,9 +40,7 @@ _FIELD_TABLE_CAP = 2**18
 def carry_coefficients(p):
     """Coefficients c_k = binom(p, k) / p, k = 1..p-1, with P_p(X,Y) =
     -sum c_k X^k Y^(p-k); each division must be exact, and is asserted."""
-    if not is_prime(p):
-        raise ValidationError("characteristic must be prime")
-    check_cap(p, _CARRY_CAP, "carry characteristic")
+    check_cap(check_prime(p, "characteristic must be prime"), _CARRY_CAP, "carry characteristic")
     out = []
     for k in range(1, p):
         b = math.comb(p, k)
@@ -110,8 +108,7 @@ class FiniteField(Frozen):
     __slots__ = ("p", "degree", "modulus", "_exp", "_log", "_zech")
 
     def __init__(self, p, modulus=None):
-        if not is_prime(p):
-            raise ValidationError("field characteristic must be prime")
+        check_prime(p, "field characteristic must be prime")
         if modulus is None:
             super().__init__(p, 1, None, None, None, None)
             return
@@ -336,8 +333,9 @@ class WittRing(Frozen):
         return (WittPair(self, i0, i1) for i0 in order for i1 in order)
 
     def carry(self, a0, b0):
-        """P_p(a0, b0) on field elements; see carry_index."""
-        return FqElement(self.field, self.carry_index(a0.index, b0.index))
+        """P_p(a0, b0), each read as WittRing.element reads it; see carry_index."""
+        residue = self.field._residue
+        return FqElement(self.field, self.carry_index(residue(a0), residue(b0)))
 
     def carry_index(self, a, b):
         """P_p on residue indices, from a memo of at most q entries per ring.

@@ -409,17 +409,30 @@ class TestBoundShape:
         assert len(rows) > 10
         assert calls == [(n, c, exps, d)]
 
+    def test_terms_read_p_as_pex_terms_does(self):
+        # a float, a non-prime or 0 is refused as pex_terms refuses it, never
+        # evaluated into float terms or divided by
+        shape = bound_shape(4, 2, (1, 1), 1)
+        assert shape.terms(7) == pex_terms(4, 2, (1, 1), 1, 7)
+        for p in (7.0, True, 0, 1, 9, -7):
+            with pytest.raises(ValidationError) as refused:
+                pex_terms(4, 2, (1, 1), 1, p)
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(refused.value))}$"):
+                shape.terms(p)
+        with pytest.raises(ValidationError, match="^p must be prime$"):
+            shape.terms(0)
+
     def test_sweep_tests_each_candidate_once(self, monkeypatch, capsys):
         # the range filter tests each odd candidate above the threshold once,
         # and the reports it streams test nothing again
         tested = []
-        real = torbound.bounds.is_prime
+        real = torbound.primes.is_prime
 
         def counted(q):
             tested.append(q)
             return real(q)
 
-        monkeypatch.setattr(torbound.bounds, "is_prime", counted)
+        monkeypatch.setattr(torbound.primes, "is_prime", counted)
         n, c, exps, d = 6, 3, (1, 2, 1), 1
         t = threshold_debarre(n, c, exps, d)
         assert cli.main(self.sweep_argv(n, c, exps, d, t - 50, t + 200)) == 0

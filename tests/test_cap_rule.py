@@ -24,8 +24,11 @@ from torbound import (
     cli,
     enumerate_compositions,
     pex_closed_form_uniform,
+    sym_complete,
+    sym_elementary,
     threshold_debarre,
 )
+from torbound.combinatorics import sym_complete_table, sym_elementary_table
 from torbound.errors import CapacityError, ValidationError, check_cap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -69,6 +72,25 @@ def test_each_cap_message_is_raised_by_its_entry_point(message, capsys):
         with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
             entry()
     assert time.perf_counter() - start < 1.0
+
+
+SYMMETRIC = {f.__name__: f for f in (sym_elementary, sym_complete, sym_elementary_table,
+                                     sym_complete_table)}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_the_symmetric_tables_cap_their_degree_as_a_series_order(name):
+    # a degree past the series order cap is refused before any table work,
+    # also one no list could hold; the cap itself is admitted
+    table, message = SYMMETRIC[name], "series order cap exceeded (4000)"
+    for degree in (4001, 10**30):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            table((1, 2), degree)
+        assert time.perf_counter() - start < 1.0
+    table((1, 2), 4000)
+    row = next(line for line in README.read_text().splitlines() if f"`{message}`" in line)
+    assert f"`{name}`" in row
 
 
 class TestSizeCapBeforeTheExponents:

@@ -119,6 +119,12 @@ def test_segre_cotangent_nonuniform_paths_agree():
             segre_cotangent(m, c, exps, order)
 
 
+def test_segre_cotangent_refuses_a_negative_order():
+    for m in (0, -1):
+        with pytest.raises(ValidationError, match=r"^series order must be >= 0$"):
+            segre_cotangent(m, 1, (1,), -1)
+
+
 def test_segre_cotangent_route_fires(monkeypatch):
     # S(t) = (1 - t)**2 for c = 2, e = (1, 1): coefficient 2 is 1
     real = torbound.chern._elementary_table

@@ -65,6 +65,7 @@ PROBES = {
     "segre_cotangent(1.0, 2, (1, 1), 2)": lambda: tb.segre_cotangent(1.0, 2, (1, 1), 2),
     "threshold_lemma_p(True, 5)": lambda: tb.threshold_lemma_p(True, 5),
     "deg_abelian_bound(True, 1, 5)": lambda: tb.deg_abelian_bound(True, 1, 5),
+    "BoundShape.terms(7.0)": lambda: tb.bound_shape(4, 2, (1, 1), 1).terms(7.0),
     "element('3')": lambda: F5.element("3"),
     "element(2.5)": lambda: F5.element(2.5),
     "modulus=(1.9, 1.2, 1)": lambda: tb.FiniteField(2, modulus=(1.9, 1.2, 1)),

@@ -1,10 +1,14 @@
+import itertools
 import math
+import random
+import re
 
 import pytest
 
 import torbound.primes
 from torbound import DETERMINISTIC_LIMIT, CapacityError, ValidationError, is_prime, next_prime
 from torbound.cli import main
+from torbound.primes import check_prime, primes_from
 
 BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233),
@@ -101,6 +105,61 @@ def test_bad_inputs_rejected():
         is_prime(6.0)
     with pytest.raises(ValidationError):
         next_prime(-1)
+
+
+def test_primes_from_equals_a_sieve_on_seeded_ranges():
+    limit = 20_000
+    flags = sieve(limit)
+    rng = random.Random(24)
+    ranges = [(lo, hi) for lo in (0, 1, 2, 3) for hi in [-1, 0, 1, 2, 3, 4, 5]
+              + [rng.randrange(limit) for _ in range(10)]]
+    ranges += [(lo, rng.randrange(lo - 5, limit)) for lo in rng.sample(range(-10, limit), 40)]
+    for lo, hi in ranges:
+        expected = [k for k in range(max(lo, 0), hi + 1) if flags[k]]
+        assert list(primes_from(lo, hi)) == expected, (lo, hi)
+    for lo in (-3, 0, 1, 2, 3, 4, 9_973, 9_974):
+        expected = [k for k in range(max(lo, 0), limit) if flags[k]][:200]
+        assert list(itertools.islice(primes_from(lo), 200)) == expected, lo
+
+
+def test_next_prime_reads_the_walk():
+    for x in itertools.chain(range(3000), range(PSI_12 - 200, PSI_12)):
+        assert next_prime(x) == next(primes_from(x + 1))
+
+
+def test_a_bounded_range_reaching_the_limit_is_refused_on_the_call(monkeypatch):
+    # the refusal names the range's first odd candidate at or past the limit
+    # and comes from the call itself: no candidate below the limit is tested
+    tested = []
+    real = torbound.primes.is_prime
+    monkeypatch.setattr(torbound.primes, "is_prime", lambda n: tested.append(n) or real(n))
+    for lo, hi, named in [(DETERMINISTIC_LIMIT - 301, DETERMINISTIC_LIMIT, DETERMINISTIC_LIMIT),
+                          (0, DETERMINISTIC_LIMIT + 5, DETERMINISTIC_LIMIT),
+                          (DETERMINISTIC_LIMIT + 1, DETERMINISTIC_LIMIT + 2,
+                           DETERMINISTIC_LIMIT + 2)]:
+        tested.clear()
+        message = f"{named} is beyond the deterministic witness range (< {DETERMINISTIC_LIMIT})"
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            primes_from(lo, hi)
+        assert tested == [named]
+    # a range that stops short of the limit walks up to it; an empty one past it is empty
+    assert len(list(primes_from(DETERMINISTIC_LIMIT - 301, DETERMINISTIC_LIMIT - 1))) == 5
+    assert list(primes_from(DETERMINISTIC_LIMIT + 3, DETERMINISTIC_LIMIT + 2)) == []
+
+
+def test_primes_from_refuses_bounds_that_are_not_ints():
+    for lo, hi in [(2.0, None), (True, 5), (1, 5.0), ("1", 5), (1, "5")]:
+        with pytest.raises(ValidationError, match="^prime range bounds must be ints$"):
+            primes_from(lo, hi)
+
+
+def test_check_prime():
+    assert check_prime(7, "m") == 7
+    for p in (0, 1, 9, PSI_12):
+        with pytest.raises(ValidationError, match="^m$"):
+            check_prime(p, "m")
+    with pytest.raises(CapacityError):
+        check_prime(DETERMINISTIC_LIMIT, "m")
 
 
 def test_agrees_with_sieve_below_two_million():

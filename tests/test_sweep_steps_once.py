@@ -102,13 +102,13 @@ def test_reading_the_terms_builds_them_once(monkeypatch):
 def test_the_first_row_is_written_before_the_last_candidate_is_tested(monkeypatch):
     out = io.StringIO()
     rows_written = []   # data rows on stdout as each candidate is tested
-    real = torbound.bounds.is_prime
+    real = torbound.primes.is_prime
 
     def counted(q):
         rows_written.append(max(out.getvalue().count("\n") - 1, 0))
         return real(q)
 
-    monkeypatch.setattr(torbound.bounds, "is_prime", counted)
+    monkeypatch.setattr(torbound.primes, "is_prime", counted)
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(sweep_argv(*SHAPE, 31105, 31400)) == 0
     assert rows_written[0] == 0 and rows_written[-1] > 0

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -72,6 +73,23 @@ def test_carry_matches_definition():
             for k, ck in enumerate(carry_coefficients(p), start=1):
                 expected = expected - field.element(ck) * a**k * b ** (p - k)
             assert ring.carry(a, b) == expected
+
+
+def test_carry_reads_its_operands_as_element_does():
+    # an element of another field, or a value that is no residue, is refused
+    # as WittRing.element refuses it; an int or a coefficient tuple is read
+    ring = WittRing(FiniteField(3, (2, 2, 1)))
+    field, foreign = ring.field, FiniteField(3).element(1)
+    for a0, b0 in ((foreign, field.one), (field.one, foreign)):
+        with pytest.raises(ValidationError, match="^element belongs to a different field$"):
+            ring.carry(a0, b0)
+    for bad in (2.5, None, "1", True):
+        for a0, b0 in ((bad, 1), (1, bad)):
+            with pytest.raises(ValidationError) as refused:
+                ring.element(a0, b0)
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(refused.value))}$"):
+                ring.carry(a0, b0)
+    assert ring.carry(1, (2, 1)) == ring.carry(field.one, field.element((2, 1)))
 
 
 class TestFiniteField:
