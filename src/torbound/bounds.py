@@ -18,7 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .chern import _check_codimension, _cotangent_degree, _normal_series, _validate_geometry
+from .chern import _check_codimension, _check_exponents, _cotangent_degree, _normal_series
 from .combinatorics import _closed_forms
 from .errors import Frozen, ValidationError, check_cap, check_int, check_routes, digits
 from .primes import check_prime, next_prime, primes_from
@@ -48,7 +48,8 @@ def _validate_bound_shape(n, c, exponents, d):
     # n - c >= 1 and every bit length is >= 1, so the size below is at least
     # 2 * (c + 1): a c the cap cannot admit is refused before any exponent is read
     check_cap(2 * (c + 1), MAX_BOUND_BITS, "bound size")
-    exps = _validate_geometry(n, c, exponents, d)
+    exps = _check_exponents(c, exponents)
+    check_int(d, "degL >= 1 violated", low=1)
     if 2 * c < n:
         raise ValidationError("2c >= n violated")
     dim = check_cap(n - c, MAX_BOUND_DIMENSION, "bound dimension")

@@ -174,16 +174,25 @@ def _cmd_bound(args):
     return 0
 
 
+def _refuse_unused(args, names, reader):
+    # a flag in names was given, but reader never reads it: refuse the first
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValidationError(f"--{name.replace('_', '-')} is not used by {reader}")
+
+
 def _cmd_threshold(args):
     if args.kind == "debarre":
         for name in ("n", "c", "degL"):
             if getattr(args, name) is None:
                 raise ValidationError(f"--{name} is required for --kind debarre")
         exps = _exponents(args)
+        _refuse_unused(args, ("deg_omega",), "--kind debarre")
         t = threshold_debarre(args.n, args.c, exps, args.degL)
     else:
         if args.n is None or args.deg_omega is None:
             raise ValidationError("--n and --deg-omega are required for --kind lemma-p")
+        _refuse_unused(args, ("c", "e", "e_list", "degL"), "--kind lemma-p")
         t = threshold_lemma_p(args.n, args.deg_omega)
     print(f"{digits(t)} {digits(next_prime(t))}")
     return 0
@@ -227,17 +236,13 @@ def _cmd_witt(args):
     if args.op in ("add", "mul", "sub"):
         if args.b is None:
             raise ValidationError(f"--b is required for op {args.op}")
-        y = pair(args.b, "--b")
-        result = getattr(operator, args.op)(x, y)
-    elif args.op == "neg":
-        result = -x
-    elif args.op == "frobenius":
-        result = x.frobenius()
-    elif args.op == "verschiebung":
-        result = x.verschiebung()
-    else:  # ghost
-        print(digits(x.ghost()))
-        return 0
+        result = getattr(operator, args.op)(x, pair(args.b, "--b"))
+    else:
+        _refuse_unused(args, ("b",), f"op {args.op}")
+        if args.op == "ghost":
+            print(digits(x.ghost()))
+            return 0
+        result = -x if args.op == "neg" else getattr(x, args.op)()  # frobenius, verschiebung
     print(f"{digits(result.a0.lift())},{digits(result.a1.lift())}")
     return 0
 

@@ -32,14 +32,10 @@ class CompositionMultiset(Frozen):
     __slots__ = ("multiplicities",)
 
     def __init__(self, multiplicities):
-        mults = check_tuple(multiplicities, "multiplicities must be ints")
-        for r in mults:
-            if type(r) is not int:  # exact ints skip the call: runs per enumerated part
-                check_int(r, "multiplicities must be ints")
+        mults = check_ints(multiplicities, "multiplicities must be ints")
         if any(r < 0 for r in mults):
             raise ValidationError("multiplicities must be >= 0")
-        (set_multiplicities,) = self._setters
-        set_multiplicities(self, mults)
+        super().__init__(mults)
 
     @property
     def weight(self):

@@ -130,9 +130,10 @@ class Frozen:
     same _key(), which is every field unless a subclass narrows it. The repr
     names every field, integers in exact digits. Pickling and copying restore
     the fields through __setstate__. Each subclass gets _setters, the __set__
-    of its slots' own member descriptors in __slots__ order: the generic
-    __init__ sets fields through it, and subclasses built per operation or per
-    row unroll their __init__ over it instead of calling object.__setattr__.
+    of its slots' own member descriptors in __slots__ order, which the generic
+    __init__ sets fields through. A subclass ends its __init__ in this one,
+    unless a benchmarked workload builds it many times per item: only then
+    does it unroll its fields over _setters, with a comment naming that traffic.
     """
 
     __slots__ = ()

@@ -51,10 +51,7 @@ class TruncatedSeries(Frozen):
                 f"got {len(coeffs)} coefficients for order {order}; refusing to truncate"
             )
         # pad with zeros up to the requested order
-        coeffs = coeffs + (0,) * (order + 1 - len(coeffs))
-        set_order, set_coefficients = self._setters
-        set_order(self, order)
-        set_coefficients(self, coeffs)
+        super().__init__(order, coeffs + (0,) * (order + 1 - len(coeffs)))
 
     @classmethod
     def one(cls, order):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from torbound import errors, torsion_bound, verify_slope_chain, BoundInput
+from torbound import cli, errors, torsion_bound, verify_slope_chain, BoundInput
 from torbound.bounds import BoundShape, threshold_debarre
 from torbound.witt import WittPair
 from torbound.primes import DETERMINISTIC_LIMIT
@@ -279,6 +279,49 @@ def test_witt_missing_b(capsys):
     code, _, err = run_cli(capsys, "witt", "--p", "3", "--op", "add", "--a", "1,0")
     assert code == 2
     assert "--b" in err
+
+
+UNUSED_FLAGS = [
+    (["witt", "--p", "3", "--op", "neg", "--a", "1,1", "--b", "1,1"], "--b is not used by op neg"),
+    (["witt", "--p", "3", "--op", "ghost", "--a", "1,1", "--b", "1,1"],
+     "--b is not used by op ghost"),
+    (["threshold", "--kind", "debarre", "--n", "4", "--c", "2", "--e", "3", "--degL", "2",
+      "--deg-omega", "7"], "--deg-omega is not used by --kind debarre"),
+    (["threshold", "--kind", "lemma-p", "--n", "3", "--deg-omega", "5", "--c", "2"],
+     "--c is not used by --kind lemma-p"),
+    (["threshold", "--kind", "lemma-p", "--n", "3", "--deg-omega", "5", "--e", "3"],
+     "--e is not used by --kind lemma-p"),
+    (["threshold", "--kind", "lemma-p", "--n", "3", "--deg-omega", "5", "--e-list", "1,2"],
+     "--e-list is not used by --kind lemma-p"),
+    (["threshold", "--kind", "lemma-p", "--n", "3", "--deg-omega", "5", "--degL", "2"],
+     "--degL is not used by --kind lemma-p"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNUSED_FLAGS, ids=[m for _, m in UNUSED_FLAGS])
+def test_a_flag_the_command_never_reads_is_refused(capsys, monkeypatch, argv, message):
+    # refused before any work: no threshold and no Witt op is computed
+    def unexpected(*args):
+        raise AssertionError("computed despite the refusal")
+
+    for owner, name in [(cli, "threshold_debarre"), (cli, "threshold_lemma_p"),
+                        (WittPair, "__neg__"), (WittPair, "ghost")]:
+        monkeypatch.setattr(owner, name, unexpected)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["series", "ztable", "--e-list=-1,2", "--max-i", "3"], "1,-1,3,-5\n"),
+    (["witt", "--p", "7", "--op", "add", "--a=-5,7", "--b", "1,1"], "3,1\n"),
+])
+def test_a_negative_list_value_is_joined_to_its_flag(capsys, argv, expected):
+    # "--e-list -1,2" would read -1,2 as a flag; argparse refuses it
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    spaced = [part for arg in argv for part in arg.split("=")]
+    with pytest.raises(SystemExit) as exited:
+        main(spaced)
+    assert exited.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_witt_composite_p(capsys):

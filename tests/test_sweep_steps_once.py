@@ -215,6 +215,23 @@ def test_each_entry_point_checks_each_exponent_once(monkeypatch, entry):
     assert 1 <= len(calls) / c < 2
 
 
+@pytest.mark.parametrize("entry", ["bound_shape", "threshold_debarre", "report_auto",
+                                   "report_explicit", "pex_terms", "deg_pex",
+                                   "pex_closed_form_general", "csv_sweep"])
+def test_each_bound_entry_point_checks_n_and_c_once(monkeypatch, entry):
+    calls = []
+    real = torbound.chern._check_codimension
+
+    def counted(n, c):
+        calls.append((n, c))
+        return real(n, c)
+
+    for module in (torbound.bounds, torbound.chern):
+        monkeypatch.setattr(module, "_check_codimension", counted)
+    EXPONENT_READERS[entry](8, 4, (1, 2, 3, 4), 1)
+    assert calls == [(8, 4)]
+
+
 @pytest.mark.parametrize("run", [report_auto, report_explicit, csv_sweep])
 def test_the_bound_path_computes_its_threshold_once(monkeypatch, run):
     # the threshold comes from its closed form, and the shape runs its

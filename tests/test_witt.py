@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 
@@ -292,6 +293,16 @@ def test_mixed_rings_rejected():
     y = WittRing(FiniteField(5)).element(1, 0)
     with pytest.raises(ValidationError):
         x + y
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_binary_ops_match_the_operand_before_reading_it(op):
+    x = WittRing(FiniteField(3)).one
+    for bad in ("x", None):
+        with pytest.raises(ValidationError, match="^expected a WittPair operand$"):
+            getattr(operator, op)(x, bad)
+    with pytest.raises(ValidationError, match="^mixed Witt rings rejected$"):
+        getattr(operator, op)(x, WittRing(FiniteField(5)).one)
 
 
 def test_times_validation():
