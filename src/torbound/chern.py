@@ -11,8 +11,8 @@ codimension j.
 import math
 
 from .combinatorics import _elementary_table
-from .errors import ValidationError, check_int, check_ints, check_routes, check_tuple
-from .series import TruncatedSeries, check_order
+from .errors import ValidationError, check_int, check_ints, check_routes, check_tuple, digits
+from .series import TruncatedSeries, check_index, check_order
 
 
 def _validate_geometry(n, c, exponents, d):
@@ -30,7 +30,7 @@ def _check_codimension(n, c):
 def _check_exponents(c, exponents):
     exps = check_tuple(exponents, "exponents >= 1 violated")
     if len(exps) != c:  # the length before the entries
-        raise ValidationError(f"exponents length {len(exps)} != c = {c}")
+        raise ValidationError(f"exponents length {len(exps)} != c = {digits(c)}")
     return check_ints(exps, "exponents >= 1 violated", low=1)
 
 
@@ -89,7 +89,7 @@ def segre_cotangent(m, c, exponents, order):
     Disagreement is a hard error, never reconciled silently.
     """
     check_order(order, "series order must be >= 0")
-    check_int(m, f"coefficient index {m} outside [0, {order}]", low=0, high=order)
+    check_index(m, order)
     exps = _check_exponents(check_int(c, "c must be >= 1", low=1), exponents)
     comega = _normal_series(exps, order).invert().scale_variable(-1)  # cotangent_chern
     return check_routes(f"segre coefficient {m}", ("recurrence", comega.invert().coefficient(m)),

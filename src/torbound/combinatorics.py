@@ -13,7 +13,7 @@ complete symmetric tables instead, which are polynomial in the degree.
 import math
 
 from .errors import (Frozen, InternalConsistencyError, ValidationError, check_cap, check_int,
-                     check_ints, check_tuple)
+                     check_ints, check_tuple, digits)
 from .series import _check_scalars, check_order
 
 # Enumeration is exponential in the weight (partition count); anything past
@@ -181,7 +181,7 @@ def z_coeff(i, c, exponents):
     check_int(c, "c must be >= 1", low=1)
     exps = check_tuple(exponents, "symmetric-function values must be ints")
     if len(exps) != c:
-        raise ValidationError(f"exponent sequence length {len(exps)} != c = {c}")
+        raise ValidationError(f"exponent sequence length {len(exps)} != c = {digits(c)}")
     return inverse_series_coeff(sym_elementary_table(exps, i)[1:], i)
 
 

@@ -9,7 +9,8 @@ variety of dimension N, with l a fixed polarization, is a series of order N.
 
 from fractions import Fraction
 
-from .errors import Frozen, ValidationError, _exact_repr, check_cap, check_int, check_tuple
+from .errors import (Frozen, ValidationError, _exact_repr, check_cap, check_int, check_tuple,
+                     digits)
 
 # Inversion and products are quadratic in the order: inverting (1, 1) at
 # order 4000 takes about 0.7 s (2-vCPU Xeon, CPython 3.11).
@@ -19,6 +20,14 @@ MAX_SERIES_ORDER = 4000
 def check_order(order, message):
     """order as a series order: an int >= 0 (else message), at most the cap."""
     return check_cap(check_int(order, message, low=0), MAX_SERIES_ORDER, "series order")
+
+
+def check_index(j, order):
+    """j as a coefficient index of a series of this order: an int in [0, order],
+    else ValidationError, whose message is built only then."""
+    if not 0 <= check_int(j, "coefficient index must be an int") <= order:
+        raise ValidationError(f"coefficient index {digits(j)} outside [0, {order}]")
+    return j
 
 
 def _check_scalars(values):
@@ -58,9 +67,7 @@ class TruncatedSeries(Frozen):
         return cls((1,), order=order)
 
     def coefficient(self, j):
-        check_int(j, f"coefficient index {j} outside [0, {self.order}]",
-                  low=0, high=self.order)
-        return self.coefficients[j]
+        return self.coefficients[check_index(j, self.order)]
 
     def __getitem__(self, j):
         return self.coefficient(j)

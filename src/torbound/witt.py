@@ -6,7 +6,7 @@ identifies W2(F_p) with Z/p^2, the module's external correctness anchor, and
 the F_p carry is computed there, so a prime-field ring builds no table. An
 extension ring builds the integer coefficients of P_p (exact divisibility by p
 asserted) and reduces them into the field once per ring. Each ring memoizes
-its carry by one residue, at most q entries (see WittRing.carry_index).
+its carry by one residue, at most q entries (see WittRing._carry_index).
 
 A residue of F_q = F_p[x]/(m) is one int in 0..q-1, its index, whose base-p
 digits, lowest first, are its coefficients (0..p-1 is the prime field in F_p
@@ -333,10 +333,19 @@ class WittRing(Frozen):
     def carry(self, a0, b0):
         """P_p(a0, b0), each read as WittRing.element reads it; see carry_index."""
         residue = self.field._residue
-        return FqElement(self.field, self.carry_index(residue(a0), residue(b0)))
+        return FqElement(self.field, self._carry_index(residue(a0), residue(b0)))
 
     def carry_index(self, a, b):
-        """P_p on residue indices, from a memo of at most q entries per ring.
+        """P_p on residue indices a and b, each an int in [0, q - 1], else
+        ValidationError; see _carry_index."""
+        q = self.field.order
+        message = "carry indices must be ints in [0, q - 1]"
+        return self._carry_index(check_int(a, message, low=0, high=q - 1),
+                                 check_int(b, message, low=0, high=q - 1))
+
+    def _carry_index(self, a, b):
+        """P_p on residue indices, unchecked (the pair operators' path), from a
+        memo of at most q entries per ring.
 
         Over F_p the indices are the residues, so P_p is
         (a^p + b^p - (a+b)^p) / p read in Z/p^2; u^p mod p^2 depends only on
@@ -401,7 +410,7 @@ class WittPair(Frozen):
     def __add__(self, other):
         other = self._match(other)
         ring, add = self.ring, self.ring.field._add
-        carry = ring.carry_index(self.i0, other.i0)
+        carry = ring._carry_index(self.i0, other.i0)
         return WittPair(ring, add(self.i0, other.i0), add(add(self.i1, other.i1), carry))
 
     def __neg__(self):
@@ -409,7 +418,7 @@ class WittPair(Frozen):
         # term vanishes, for p = 2 it contributes a0**2
         ring, field = self.ring, self.ring.field
         m0 = field._neg(self.i0)
-        carry = ring.carry_index(self.i0, m0)
+        carry = ring._carry_index(self.i0, m0)
         return WittPair(ring, m0, field._neg(field._add(self.i1, carry)))
 
     def __sub__(self, other):
@@ -439,16 +448,21 @@ class WittPair(Frozen):
         return (pow(self.i0, field.p, pp) + field.p * self.i1) % pp
 
     def times(self, k):
-        """k-fold sum (k >= 0), by doubling and adding: O(log k) additions."""
+        """k-fold sum (k >= 0) in closed form, with no carry and a cost
+        independent of k.
+
+        The ghost map sends (a0, a1) to (a0, a0^p + p a1) and is additive, so
+        k (a0, a1) = (b0, b1) with b0 = k a0 and b0^p + p b1 = k (a0^p + p a1),
+        that is b1 = k a1 + ((k - k^p) / p) a0^p, an identity of integer
+        polynomials and so valid over every F_q, p = 2 included. k and
+        (k - k^p) / p enter only mod p, the latter through k mod p^2, and the
+        indices 0..p-1 are the prime field in every F_q."""
         check_int(k, "repetition count must be an int >= 0", low=0)
-        out, step = self.ring.zero, self
-        while k:
-            if k & 1:
-                out = out + step
-            k >>= 1
-            if k:
-                step = step + step
-        return out
+        field = self.ring.field
+        p, mul = field.p, field._mul
+        kp, ck = k % p, (k - pow(k, p, p * p)) % (p * p) // p
+        return WittPair(self.ring, mul(kp, self.i0),
+                        field._add(mul(kp, self.i1), mul(ck, field._frobenius(self.i0))))
 
     def __repr__(self):
         return f"WittPair({self.a0!r}, {self.a1!r})"
