@@ -35,6 +35,7 @@ class CompositionMultiset(Frozen):
         mults = check_ints(multiplicities, "multiplicities must be ints")
         if any(r < 0 for r in mults):
             raise ValidationError("multiplicities must be >= 0")
+        check_cap(sum(mults), MAX_COMPOSITION_WEIGHT, "composition weight")  # weight >= parts
         super().__init__(mults)
 
     @property

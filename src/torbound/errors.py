@@ -124,16 +124,17 @@ def check_routes(what, first, second, where=None):
 
 
 class Frozen:
-    """The package's immutable-value base: fields are the subclass's __slots__.
+    """The package's immutable-value base: fields are the subclass's __slots__,
+    which the generic __init__ takes by position, in __slots__ order.
 
-    Values compare equal, and hash alike, when they have the same type and the
-    same _key(), which is every field unless a subclass narrows it. The repr
-    names every field, integers in exact digits. Pickling and copying restore
-    the fields through __setstate__. Each subclass gets _setters, the __set__
-    of its slots' own member descriptors in __slots__ order, which the generic
-    __init__ sets fields through. A subclass ends its __init__ in this one,
-    unless a benchmarked workload builds it many times per item: only then
-    does it unroll its fields over _setters, with a comment naming that traffic.
+    A slot named with a leading _ holds derived data, outside equality, hash
+    and repr; _fields are the others. Values of the same type with equal
+    _fields compare equal and hash alike; the repr names _fields, ints in exact
+    digits. Pickling and copying restore every slot through __setstate__.
+    _setters are the __set__ of the slots' member descriptors, in order. A
+    subclass ends its __init__ in this one, unless a benchmarked workload
+    builds it many times per item: only then does it unroll its fields over
+    _setters, with a comment naming that traffic.
     """
 
     __slots__ = ()
@@ -141,15 +142,11 @@ class Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
-    def __init__(self, *args, **kwargs):
-        fields = self.__slots__
-        if kwargs or len(args) != len(fields):  # not every field given positionally
-            if len(args) + len(kwargs) != len(fields) or not all(
-                name in kwargs for name in fields[len(args):]
-            ):
-                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-            args += tuple(kwargs[name] for name in fields[len(args):])
+    def __init__(self, *args):
+        if len(args) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
         for set_field, value in zip(self._setters, args):
             set_field(self, value)
 
@@ -163,7 +160,7 @@ class Frozen:
             object.__setattr__(self, name, value)
 
     def _key(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -174,7 +171,7 @@ class Frozen:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={_exact_repr(getattr(self, name))}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_exact_repr(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 

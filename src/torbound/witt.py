@@ -123,9 +123,6 @@ class FiniteField(Frozen):
         check_cap(p ** min(f, _FIELD_TABLE_CAP.bit_length()), _FIELD_TABLE_CAP, "field table")
         super().__init__(p, f, mod, *_field_tables(p, mod))
 
-    def _key(self):
-        return (self.p, self.degree, self.modulus)
-
     def __reduce__(self):
         return (FiniteField, (self.p, self.modulus))
 
@@ -306,9 +303,6 @@ class WittRing(Frozen):
         if field.degree > 1:  # c_k lies in the prime field, whose indices are 0..p-1
             coeffs = tuple(ck % field.p for ck in carry_coefficients(field.p))
         super().__init__(field, coeffs, {})
-
-    def _key(self):
-        return (self.field,)
 
     def element(self, a0, a1):
         residue = self.field._residue
