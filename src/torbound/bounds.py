@@ -189,10 +189,14 @@ def deg_pex(n, c, exponents, d, p, convention):
 
 
 def deg_abelian_bound(n, d, p):
-    """Degree bound for the image of the abelian variety under times-p: p**(2n)*d."""
+    """Degree bound for the image of the abelian variety under times-p: p**(2n)*d.
+
+    Its exponent 2n is held to the bound size cap, which admits every n a
+    report reaches, at most 525312."""
     check_int(n, "n >= 1 violated", low=1)
     check_int(d, "degL >= 1 violated", low=1)
-    return check_prime(p, "p must be prime") ** (2 * n) * d
+    check_prime(p, "p must be prime")
+    return p ** check_cap(2 * n, MAX_BOUND_BITS, "bound size") * d
 
 
 def _validate_prime(p, threshold):

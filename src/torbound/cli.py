@@ -32,8 +32,8 @@ CSV_COLUMNS = ("n", "c", "e", "degL", "p", "threshold", "deg_pex_paper", "deg_pe
 EXIT_BROKEN_PIPE = 141
 
 # Every admissible prime in a sweep range is a report row. From p = 31105,
-# the shape (12, 6, (1,2,3,1,2,3), 2) gives 950 CSV rows in 0.03-0.04 s at
-# width 10**4, 8,902 rows in 0.23-0.36 s at 10**5 and 77,428 rows in 2.4-2.7 s
+# the shape (12, 6, (1,2,3,1,2,3), 2) gives 950 CSV rows in 0.013-0.015 s at
+# width 10**4, 8,902 rows in 0.13-0.14 s at 10**5 and 77,428 rows in 1.3-1.8 s
 # at 10**6 (2-vCPU Xeon, CPython 3.11.7, in-process, a noisy shared host).
 MAX_SWEEP_WIDTH = 10**5
 
@@ -98,11 +98,23 @@ def report_json_line(report):
     return json.dumps(report_json_dict(report), separators=(",", ":"))
 
 
+# the last CSV row's shape fields (n, c, exponents, d, threshold) and their
+# columns: the rows of a sweep hold its shape's objects, and a hit needs those
+_csv_shape = ((object(),) * 5, None)
+
+
 def report_csv_row(report):
     """Report as one CSV line, in CSV_COLUMNS order, read from its fields."""
+    global _csv_shape
     r = report
-    return (f"{digits(r.n)},{digits(r.c)},{';'.join(map(digits, r.exponents))},{digits(r.d)},"
-            f"{digits(r.prime_used)},{digits(r.threshold)},{digits(r.deg_pex_paper)},"
+    fields = (r.n, r.c, r.exponents, r.d, r.threshold)
+    last, columns = _csv_shape
+    if not all(map(operator.is_, fields, last)):
+        columns = (f"{digits(r.n)},{digits(r.c)},{';'.join(map(digits, r.exponents))},"
+                   f"{digits(r.d)},", digits(r.threshold))
+        _csv_shape = (fields, columns)
+    head, threshold = columns
+    return (f"{head}{digits(r.prime_used)},{threshold},{digits(r.deg_pex_paper)},"
             f"{digits(r.deg_pex_dual)},{digits(r.deg_abelian)},{digits(r.bound_paper)},"
             f"{digits(r.bound_dual)},{';'.join(sorted(r.flags))}")
 
