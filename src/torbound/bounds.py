@@ -14,6 +14,7 @@ time polynomial in n - c; the composition-sum kernel serves only the tests,
 as the definition the closed forms are checked against.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -169,12 +170,13 @@ def pex_terms(n, c, exponents, d, p):
     """Per-h term table of the jet-bundle degree, verified in both conventions.
 
     The rows of bound_shape evaluated at p: built free of p and verified
-    before they are evaluated (see bound_shape). Any disagreement raises
+    before they are evaluated (see bound_shape), once per distinct shape per
+    process (see SHAPE_MEMO_SIZE). Any disagreement raises
     InternalConsistencyError.
     """
     exps = _validate_bound_shape(n, c, exponents, d)
     check_prime(p, "p must be prime")
-    return _terms(_bound_shape(n, c, exps, d).rows, n - c, p)
+    return _terms(_shape(n, c, exps, d).rows, n - c, p)
 
 
 def deg_pex(n, c, exponents, d, p, convention):
@@ -185,7 +187,7 @@ def deg_pex(n, c, exponents, d, p, convention):
     column = _column(convention)
     exps = _validate_bound_shape(n, c, exponents, d)
     check_prime(p, "p must be prime")
-    return _degree_sums(_bound_shape(n, c, exps, d).rows, p)[column]
+    return _degree_sums(_shape(n, c, exps, d).rows, p)[column]
 
 
 def deg_abelian_bound(n, d, p):
@@ -317,7 +319,8 @@ def bound_shape(n, c, exponents, d):
     w_table against that series and, in both conventions, the closed form
     against the Segre route as polynomials in p, coefficient by coefficient.
     For constant exponents the uniform closed form's rows and w_table are
-    kept.
+    kept. Every call builds and verifies anew; torsion_bound, deg_pex,
+    pex_terms and a CLI report reuse a verified shape instead.
     """
     return _bound_shape(n, c, _validate_bound_shape(n, c, exponents, d), d)
 
@@ -346,8 +349,37 @@ def _bound_shape(n, c, exps, d):
     return BoundShape(n, c, exps, d, dim**2 * deg_cot, deg_cot, w_table, rows)
 
 
+# Verified shapes kept per process, least recently used dropped first. The
+# traffic: one shape evaluated at many primes, by a sweep per shape in one
+# process (the prime-sweep benchmark cycles 3 shapes) or by deg_pex,
+# pex_terms and torsion_bound at the same shape. Worst case kept: 8 shapes,
+# each one a caller has built already. A shape's exponent tuple has at most
+# 525311 entries, about 4 MB at the cap; its rows carry n - c + 1 multiples
+# of degL, which has no cap (a 20000-digit degL at n - c = 512 holds 4.7 MB).
+SHAPE_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
+def _verified_shape(n, c, exps, d):
+    # a failed check raises and stores nothing, so it fails again next call
+    return _bound_shape(n, c, exps, d)
+
+
+def _shape(n, c, exps, d):
+    # _bound_shape through the memo, on exact ints only: a hit is then the
+    # value, repr and field types a fresh build gives, never an int subclass
+    # an earlier caller passed
+    if type(n) is type(c) is type(d) is int and all(type(e) is int for e in exps):
+        return _verified_shape(n, c, exps, d)
+    return _bound_shape(n, c, exps, d)
+
+
 def torsion_bound(inp):
-    """Assemble the torsion-point bound report for a validated input."""
+    """Assemble the torsion-point bound report for a validated input.
+
+    The shape is built and verified once per process and reused at every
+    prime (see SHAPE_MEMO_SIZE).
+    """
     if not isinstance(inp, BoundInput):
         raise ValidationError("expected a BoundInput")
     n, c, exps, d = inp.n, inp.c, inp.exponents, inp.d
@@ -356,19 +388,19 @@ def torsion_bound(inp):
     prime_used = inp.p
     if prime_used == "auto":
         prime_used = next_prime(_threshold(n, c, exps, d))
-    return _bound_shape(n, c, exps, d)._assemble(inp.p, prime_used, inp.mode)
+    return _shape(n, c, exps, d)._assemble(inp.p, prime_used, inp.mode)
 
 
 def _sweep(n, c, exps, d, lo, hi, mode):
     # The reports at each admissible prime in [lo, hi], streamed as primes_from
-    # finds them, mode checked; the shape is built and verified once a first
-    # prime is found.
+    # finds them, mode checked; the shape is built and verified, or read from
+    # the memo, once a first prime is found.
     exps = _validate_bound_shape(n, c, exps, d)
     primes = primes_from(max(lo, _threshold(n, c, exps, d) + 1), hi)
     q = next(primes, None)
     if q is None:
         return ()
-    shape = _bound_shape(n, c, exps, d)
+    shape = _shape(n, c, exps, d)
     return (shape._assemble(p, p, mode) for p in itertools.chain((q,), primes))
 
 

@@ -64,7 +64,8 @@ class TruncatedSeries(Frozen):
 
     @classmethod
     def one(cls, order):
-        return cls((1,), order=order)
+        # checked here: order=None would tell the constructor to infer order 0
+        return cls((1,), order=check_order(order, "series order must be >= 0"))
 
     def coefficient(self, j):
         return self.coefficients[check_index(j, self.order)]

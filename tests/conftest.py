@@ -1,5 +1,16 @@
 import sys
 
+import pytest
+
+import torbound.bounds
+
+
+@pytest.fixture(autouse=True)
+def cold_shape_memo():
+    # each test starts with no verified shape held, so a test that corrupts a
+    # route or counts builds sees every shape built in it
+    torbound.bounds._verified_shape.cache_clear()
+
 
 def pytest_runtest_logreport(report):
     # one visible pass/fail line per acceptance criterion, independent of -v

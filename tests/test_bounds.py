@@ -261,7 +261,7 @@ class TestCrossChecksFire:
         # Move p0 between the p**0 and p**1 coefficients of the Segre
         # polynomial: its value at the report's prime p0 stays the same, so
         # only a coefficient-by-coefficient check can see the corruption.
-        p0 = torsion_bound(BoundInput(4, 2, (2, 2), 1)).prime_used
+        p0 = bound_shape(4, 2, (2, 2), 1).report().prime_used  # holds no shape in the memo
         real = torbound.bounds._pex_geometric
 
         def corrupted(tangent, ti, conv):
