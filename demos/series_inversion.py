@@ -1,34 +1,25 @@
-"""Show the series toolkit agreeing with its combinatorial closed forms.
+"""Show the series toolkit agreeing with its closed forms.
 
-Every inverse coefficient in the package can be computed two ways: by the
-truncated-series recurrence, or by summing signed multinomials over
-composition multisets. This script prints both, side by side.
+The inverse of (1+t)^c has coefficients (-1)^m * binom(c+m-1, m), and the
+inverse of prod (1 + e t) has the signed complete homogeneous symmetric
+values (-1)^i * h_i(e). This script prints each closed form beside the
+truncated-series recurrence. The paper's composition sums, which define the
+same coefficients, are in tests/kernel.py.
 """
 
-from torbound import (
-    TruncatedSeries,
-    enumerate_compositions,
-    inverse_series_coeff,
-    signed_multinomial,
-    sym_complete,
-    w_coeff,
-    z_coeff,
-)
+from math import comb
 
-print("composition multisets of weight 4 (canonical order):")
-for beta in enumerate_compositions(4):
-    print(f"  parts {beta.parts()!s:<14} multiplicities {beta.multiplicities}"
-          f"   signed multinomial {signed_multinomial(beta)}")
-print()
+from torbound import TruncatedSeries, sym_complete, sym_elementary
 
 c = 3
 order = 6
 power = TruncatedSeries.one(order)
 for _ in range(c):
     power = power * TruncatedSeries((1, 1), order=order)
-print(f"(1+t)^{c} truncated: {power.coefficients}")
-print(f"its inverse:         {power.invert().coefficients}")
-print(f"w_coeff table c={c}:  {tuple(w_coeff(m, c) for m in range(order + 1))}")
+print(f"(1+t)^{c} truncated:     {power.coefficients}")
+print(f"inverse by recurrence:   {power.invert().coefficients}")
+print(f"(-1)^m binom(c+m-1, m):  "
+      f"{tuple((-1) ** m * comb(c + m - 1, m) for m in range(order + 1))}")
 print()
 
 exps = (1, 2, 4)
@@ -36,18 +27,15 @@ prod = TruncatedSeries.one(order)
 for e in exps:
     prod = prod * TruncatedSeries((1, e), order=order)
 print(f"prod (1+e t) for e in {exps}: {prod.coefficients}")
+print(f"elementary symmetric e_i:     "
+      f"{tuple(sym_elementary(exps, i) for i in range(order + 1))}")
 print(f"inverse by recurrence:        {prod.invert().coefficients}")
-print(f"z_coeff table:                "
-      f"{tuple(z_coeff(i, len(exps), exps) for i in range(order + 1))}")
 print(f"signed complete homogeneous:  "
       f"{tuple((-1) ** i * sym_complete(exps, i) for i in range(order + 1))}")
 print()
 
-# inverting twice walks back to the original head
+# inverting twice walks back to the original series
 head = (5, -2, 7)
 series = TruncatedSeries((1, *head))
-double = series.invert().invert()
-print(f"double inversion of {series.coefficients}: {double.coefficients}")
-inv_head = tuple(series.invert().coefficients[1:])
-print(f"closed-form double inversion, coefficient 3: "
-      f"{inverse_series_coeff(inv_head, 3)} (original head entry {head[2]})")
+print(f"double inversion of {series.coefficients}: "
+      f"{series.invert().invert().coefficients}")

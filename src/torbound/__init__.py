@@ -30,16 +30,7 @@ from .chern import (
     segre_cotangent,
     top_integral,
 )
-from .combinatorics import (
-    CompositionMultiset,
-    enumerate_compositions,
-    inverse_series_coeff,
-    signed_multinomial,
-    sym_complete,
-    sym_elementary,
-    w_coeff,
-    z_coeff,
-)
+from .combinatorics import sym_complete, sym_elementary
 from .errors import CapacityError, InternalConsistencyError, ValidationError
 from .primes import DETERMINISTIC_LIMIT, is_prime, next_prime
 from .series import TruncatedSeries

@@ -10,8 +10,8 @@ both are always reported, never adjudicated.
 
 The closed form reads its inner sums, the paper's double composition sums,
 as elementary symmetric values (inverting twice gives the series back), in
-time polynomial in n - c; the composition-sum kernel serves only the tests,
-as the definition the closed forms are checked against.
+time polynomial in n - c; the tests keep the composition sums, by their
+definition, to check the closed forms against.
 """
 
 import functools
@@ -35,10 +35,11 @@ FLAG_UNIFORM_CHECKED = "uniform_specialization_checked"
 # series inversions: bound_shape(2k, k, (e,)*k, 1) takes 0.46 s at k = 512
 # with e = 1 and 0.72 s with e = 2 (2-vCPU Xeon, CPython 3.11).
 MAX_BOUND_DIMENSION = 512
-# Cost also grows with the exponents' size: a shape's series hold n - c + 1
-# integers of up to about B = (n - c) * max(bits) + sum(bits) bits, bits
-# being the exponents' bit lengths. The cap bounds (n - c + 1) * B; at
-# n - c = c = 512 it admits e <= 3 (1.0 s at e = 3). Worst admitted case
+# Cost also grows with the exponents' and degL's size: a shape's rows hold
+# n - c + 1 integers of up to about B = (n - c) * max(bits) + sum(bits) +
+# bits(degL) - 1 bits, bits being the bit lengths. The cap bounds
+# (n - c + 1) * B; at n - c = c = 512 and degL = 1 it admits e <= 3 (1.0 s at
+# e = 3), and with e = 1 a degL of up to 1025 bits. Worst admitted case
 # measured: bound_shape(525312, 525311, (1,)*525311, 1), median 0.4-0.6 s of
 # 5, with one check_int call per exponent (same machine).
 MAX_BOUND_BITS = 513 * 2048
@@ -46,8 +47,9 @@ MAX_BOUND_BITS = 513 * 2048
 
 def _validate_bound_shape(n, c, exponents, d):
     _check_codimension(n, c)
-    # n - c >= 1 and every bit length is >= 1, so the size below is at least
-    # 2 * (c + 1): a c the cap cannot admit is refused before any exponent is read
+    # n - c >= 1, every exponent's bit length is >= 1 and degL's is too, so the
+    # size below is at least 2 * (c + 1): a c the cap cannot admit is refused
+    # before any exponent is read
     check_cap(2 * (c + 1), MAX_BOUND_BITS, "bound size")
     exps = _check_exponents(c, exponents)
     check_int(d, "degL >= 1 violated", low=1)
@@ -55,7 +57,8 @@ def _validate_bound_shape(n, c, exponents, d):
         raise ValidationError("2c >= n violated")
     dim = check_cap(n - c, MAX_BOUND_DIMENSION, "bound dimension")
     bits = [e.bit_length() for e in exps]
-    check_cap((dim + 1) * (dim * max(bits) + sum(bits)), MAX_BOUND_BITS, "bound size")
+    size = (dim + 1) * (dim * max(bits) + sum(bits) + d.bit_length() - 1)
+    check_cap(size, MAX_BOUND_BITS, "bound size")
     return exps
 
 
@@ -353,9 +356,9 @@ def _bound_shape(n, c, exps, d):
 # traffic: one shape evaluated at many primes, by a sweep per shape in one
 # process (the prime-sweep benchmark cycles 3 shapes) or by deg_pex,
 # pex_terms and torsion_bound at the same shape. Worst case kept: 8 shapes,
-# each one a caller has built already. A shape's exponent tuple has at most
-# 525311 entries, about 4 MB at the cap; its rows carry n - c + 1 multiples
-# of degL, which has no cap (a 20000-digit degL at n - c = 512 holds 4.7 MB).
+# each one a caller has built already. The bound size cap holds a shape's
+# rows, which carry degL's bits too, to about 1050624 bits, 128 KiB; its
+# exponent tuple has at most 525311 entries, about 4 MB at the cap.
 SHAPE_MEMO_SIZE = 8
 
 

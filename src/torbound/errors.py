@@ -132,9 +132,10 @@ class Frozen:
     _fields compare equal and hash alike; the repr names _fields, ints in exact
     digits. Pickling and copying restore every slot through __setstate__.
     _setters are the __set__ of the slots' member descriptors, in order. A
-    subclass ends its __init__ in this one, unless a benchmarked workload
-    builds it many times per item: only then does it unroll its fields over
-    _setters, with a comment naming that traffic.
+    subclass ends its __init__ in this one. Where a benchmarked workload
+    builds it many times per item, the package's own builds may skip
+    __init__ for an unchecked builder that unrolls the fields over _setters,
+    with a comment naming that traffic.
     """
 
     __slots__ = ()

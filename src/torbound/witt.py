@@ -140,7 +140,7 @@ class FiniteField(Frozen):
 
     def element(self, value):
         index = self._residue(value)
-        return value if isinstance(value, FqElement) else FqElement(self, index)
+        return value if isinstance(value, FqElement) else _fq(self, index)
 
     def _residue(self, value):
         """The index of a coefficient tuple or list, an int, or an element of
@@ -169,15 +169,15 @@ class FiniteField(Frozen):
 
     @property
     def zero(self):
-        return FqElement(self, 0)
+        return _fq(self, 0)
 
     @property
     def one(self):
-        return FqElement(self, 1)
+        return _fq(self, 1)
 
     def elements(self):
         """All q elements, lexicographic on coefficient tuples."""
-        return (FqElement(self, i) for i in self._indices())
+        return (_fq(self, i) for i in self._indices())
 
     def _indices(self):
         p = self.p
@@ -230,14 +230,16 @@ class FiniteField(Frozen):
 
 class FqElement(Frozen):
     """Immutable residue, stored as its index; mixed-field arithmetic is
-    rejected."""
+    rejected. The field must be a FiniteField and the index an int in
+    [0, q - 1], else ValidationError; FiniteField.element reads any residue."""
 
     __slots__ = ("field", "index")
 
     def __init__(self, field, index):
-        set_field, set_index = self._setters  # unrolled: ~95 builds per witt-ring op
-        set_field(self, field)
-        set_index(self, index)
+        if not isinstance(field, FiniteField):
+            raise ValidationError("expected a FiniteField")
+        message = "element index must be an int in [0, q - 1]"
+        super().__init__(field, check_int(index, message, low=0, high=field.order - 1))
 
     @property
     def coeffs(self):
@@ -252,29 +254,29 @@ class FqElement(Frozen):
 
     def __add__(self, other):
         other = self._match(other)
-        return FqElement(self.field, self.field._add(self.index, other.index))
+        return _fq(self.field, self.field._add(self.index, other.index))
 
     def __sub__(self, other):
         other = self._match(other)
         field = self.field
-        return FqElement(field, field._add(self.index, field._neg(other.index)))
+        return _fq(field, field._add(self.index, field._neg(other.index)))
 
     def __neg__(self):
-        return FqElement(self.field, self.field._neg(self.index))
+        return _fq(self.field, self.field._neg(self.index))
 
     def __mul__(self, other):
         other = self._match(other)
-        return FqElement(self.field, self.field._mul(self.index, other.index))
+        return _fq(self.field, self.field._mul(self.index, other.index))
 
     def __pow__(self, exponent):
         if check_int(exponent, "exponent must be an int") < 0:
             return self.inverse() ** (-exponent)
-        return FqElement(self.field, self.field._pow(self.index, exponent))
+        return _fq(self.field, self.field._pow(self.index, exponent))
 
     def inverse(self):
         if not self.index:
             raise ValidationError("zero is not invertible")
-        return FqElement(self.field, self.field._inv(self.index))
+        return _fq(self.field, self.field._inv(self.index))
 
     @property
     def is_zero(self):
@@ -311,15 +313,15 @@ class WittRing(Frozen):
 
     def element(self, a0, a1):
         residue = self.field._residue
-        return WittPair(self, residue(a0), residue(a1))
+        return _pair(self, residue(a0), residue(a1))
 
     @property
     def zero(self):
-        return WittPair(self, 0, 0)
+        return _pair(self, 0, 0)
 
     @property
     def one(self):
-        return WittPair(self, 1, 0)
+        return _pair(self, 1, 0)
 
     def teichmuller(self, a):
         return self.element(a, 0)
@@ -327,12 +329,12 @@ class WittRing(Frozen):
     def elements(self):
         """All q**2 pairs, lexicographic."""
         order = list(self.field._indices())
-        return (WittPair(self, i0, i1) for i0 in order for i1 in order)
+        return (_pair(self, i0, i1) for i0 in order for i1 in order)
 
     def carry(self, a0, b0):
         """P_p(a0, b0), each read as WittRing.element reads it; see carry_index."""
         residue = self.field._residue
-        return FqElement(self.field, self._carry_index(residue(a0), residue(b0)))
+        return _fq(self.field, self._carry_index(residue(a0), residue(b0)))
 
     def carry_index(self, a, b):
         """P_p on residue indices a and b, each an int in [0, q - 1], else
@@ -381,23 +383,26 @@ class WittRing(Frozen):
 
 class WittPair(Frozen):
     """One length-2 Witt vector, stored as the residue indices i0 and i1 of
-    its components; a0 and a1 build the field elements on read."""
+    its components; a0 and a1 build the field elements on read. The ring must
+    be a WittRing and each index an int in [0, q - 1], else ValidationError;
+    WittRing.element reads any residues."""
 
     __slots__ = ("ring", "i0", "i1")
 
     def __init__(self, ring, i0, i1):
-        set_ring, set_i0, set_i1 = self._setters  # unrolled: ~135 builds per witt-ring op
-        set_ring(self, ring)
-        set_i0(self, i0)
-        set_i1(self, i1)
+        if not isinstance(ring, WittRing):
+            raise ValidationError("expected a WittRing")
+        q, message = ring.field.order, "pair indices must be ints in [0, q - 1]"
+        super().__init__(ring, check_int(i0, message, low=0, high=q - 1),
+                         check_int(i1, message, low=0, high=q - 1))
 
     @property
     def a0(self):
-        return FqElement(self.ring.field, self.i0)
+        return _fq(self.ring.field, self.i0)
 
     @property
     def a1(self):
-        return FqElement(self.ring.field, self.i1)
+        return _fq(self.ring.field, self.i1)
 
     def _match(self, other):
         if not isinstance(other, WittPair):
@@ -410,7 +415,7 @@ class WittPair(Frozen):
         other = self._match(other)
         ring, add = self.ring, self.ring.field._add
         carry = ring._carry_index(self.i0, other.i0)
-        return WittPair(ring, add(self.i0, other.i0), add(add(self.i1, other.i1), carry))
+        return _pair(ring, add(self.i0, other.i0), add(add(self.i1, other.i1), carry))
 
     def __neg__(self):
         # solve x + y = 0 with the same universal carry; for odd p the carry
@@ -418,7 +423,7 @@ class WittPair(Frozen):
         ring, field = self.ring, self.ring.field
         m0 = field._neg(self.i0)
         carry = ring._carry_index(self.i0, m0)
-        return WittPair(ring, m0, field._neg(field._add(self.i1, carry)))
+        return _pair(ring, m0, field._neg(field._add(self.i1, carry)))
 
     def __sub__(self, other):
         return self + -self._match(other)
@@ -428,15 +433,15 @@ class WittPair(Frozen):
         field = self.ring.field
         mul, frob = field._mul, field._frobenius
         a0, a1, b0, b1 = self.i0, self.i1, other.i0, other.i1
-        return WittPair(self.ring, mul(a0, b0),
-                        field._add(mul(frob(a0), b1), mul(frob(b0), a1)))
+        return _pair(self.ring, mul(a0, b0),
+                     field._add(mul(frob(a0), b1), mul(frob(b0), a1)))
 
     def frobenius(self):
         frob = self.ring.field._frobenius
-        return WittPair(self.ring, frob(self.i0), frob(self.i1))
+        return _pair(self.ring, frob(self.i0), frob(self.i1))
 
     def verschiebung(self):
-        return WittPair(self.ring, 0, self.i0)
+        return _pair(self.ring, 0, self.i0)
 
     def ghost(self):
         """First ghost component in Z/p^2; prime fields only."""
@@ -460,8 +465,31 @@ class WittPair(Frozen):
         field = self.ring.field
         p, mul = field.p, field._mul
         kp, ck = k % p, (k - pow(k, p, p * p)) % (p * p) // p
-        return WittPair(self.ring, mul(kp, self.i0),
-                        field._add(mul(kp, self.i1), mul(ck, field._frobenius(self.i0))))
+        return _pair(self.ring, mul(kp, self.i0),
+                     field._add(mul(kp, self.i1), mul(ck, field._frobenius(self.i0))))
 
     def __repr__(self):
         return f"WittPair({self.a0!r}, {self.a1!r})"
+
+
+# The package's own builds skip the checks: their operands are a field or ring
+# and indices it produced. The setters are unrolled, as Frozen allows for
+# heavy traffic: ~95 FqElement and ~135 WittPair builds per witt-ring op.
+_new = object.__new__
+_set_field, _set_index = FqElement._setters
+_set_ring, _set_i0, _set_i1 = WittPair._setters
+
+
+def _fq(field, index):
+    x = _new(FqElement)
+    _set_field(x, field)
+    _set_index(x, index)
+    return x
+
+
+def _pair(ring, i0, i1):
+    x = _new(WittPair)
+    _set_ring(x, ring)
+    _set_i0(x, i0)
+    _set_i1(x, i1)
+    return x

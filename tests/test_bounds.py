@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel import inverse_series_coeff, w_coeff, z_coeff
 
 import torbound.bounds
 import torbound.chern
@@ -23,7 +24,6 @@ from torbound import (
     deg_abelian_bound,
     deg_cotangent,
     deg_pex,
-    inverse_series_coeff,
     next_prime,
     pex_closed_form_general,
     pex_closed_form_uniform,
@@ -33,8 +33,6 @@ from torbound import (
     top_integral,
     torsion_bound,
     verify_slope_chain,
-    w_coeff,
-    z_coeff,
 )
 
 
@@ -196,7 +194,7 @@ class TestTorsionBound:
         uni = torsion_bound(BoundInput(4, 2, (3, 3), 1))
         assert uni.w_table == tuple(w_coeff(m, 2) for m in range(3))
         gen = torsion_bound(BoundInput(4, 2, (2, 3), 1))
-        assert gen.w_table == tuple(z_coeff(i, 2, (2, 3)) for i in range(3))
+        assert gen.w_table == tuple(z_coeff(i, (2, 3)) for i in range(3))
 
     def test_flags(self):
         # uniform e above the ambient dimension: no simplicity advisory
@@ -513,19 +511,19 @@ class TestBoundShape:
         shape = bound_shape(4, 2, (2, 3), 1)
         with pytest.raises(AttributeError):
             shape.threshold = 0
-        assert shape.w_table == tuple(z_coeff(i, 2, (2, 3)) for i in range(3))
+        assert shape.w_table == tuple(z_coeff(i, (2, 3)) for i in range(3))
         for p in (7, 11, 13):
             assert shape.terms(p) == pex_terms(4, 2, (2, 3), 1, p)
 
 
 def literal_rows(n, c, exps, d, uniform):
-    # the closed form as the double composition sum: w_table from the kernel
-    # (w_coeff or z_coeff), each inner the kernel over w_table[1..m]
+    # the closed form as the double composition sum: w_table from the oracle
+    # (w_coeff or z_coeff), each inner the oracle over w_table[1..m]
     dim = n - c
     if uniform:
         table = tuple(w_coeff(i, c) for i in range(dim + 1))
     else:
-        table = tuple(z_coeff(i, c, exps) for i in range(dim + 1))
+        table = tuple(z_coeff(i, exps) for i in range(dim + 1))
     scale = exps[0] if uniform else 1
     rows = []
     for h in range(dim + 1):

@@ -22,7 +22,6 @@ from torbound import (
     bound_shape,
     carry_coefficients,
     cli,
-    enumerate_compositions,
     pex_closed_form_uniform,
     sym_complete,
     sym_elementary,
@@ -45,7 +44,7 @@ def test_check_cap():
 
 # one entry point per README cap message: a call, or CLI arguments
 ENTRY_POINTS = {
-    "composition weight cap exceeded (64)": lambda: enumerate_compositions(65),
+    "composition weight cap exceeded (64)": ["series", "wtable", "--c", "2", "--max-m", "65"],
     "series order cap exceeded (4000)": lambda: TruncatedSeries.one(4001),
     "carry characteristic cap exceeded (3000)": lambda: carry_coefficients(3001),
     "field table cap exceeded (262144)": lambda: FiniteField(2, (1,) + (0,) * 99 + (1,)),
@@ -145,3 +144,22 @@ class TestSizeCapBeforeTheExponents:
             bound_shape(c + 1, c, (1,), 1)
         with pytest.raises(CapacityError, match=re.escape(SIZE_MESSAGE)):
             bound_shape(c + 2, c + 1, (1,), 1)
+
+
+def test_the_size_cap_counts_the_bits_of_degl():
+    # degL's bits join the size, less one, so degL = 1 leaves the edge of
+    # n - c = 512 with exponents 3 admitted; degL = 2 there, or a
+    # 100000-digit degL, is refused before any shape work
+    validate = torbound.bounds._validate_bound_shape
+    assert validate(1024, 512, (3,) * 512, 1) == (3,) * 512
+    for d in (2, 10**100000):
+        with pytest.raises(CapacityError, match=f"^{re.escape(SIZE_MESSAGE)}$"):
+            validate(1024, 512, (3,) * 512, d)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"^{re.escape(SIZE_MESSAGE)}$"):
+        bound_shape(1024, 512, (1,) * 512, 10**100000)  # built in 5.2 s before
+    assert time.perf_counter() - start < 1.0
+    # with exponents 1 the cap admits a degL of up to 1025 bits
+    validate(1024, 512, (1,) * 512, 2**1024)
+    with pytest.raises(CapacityError, match=f"^{re.escape(SIZE_MESSAGE)}$"):
+        validate(1024, 512, (1,) * 512, 2**1025)

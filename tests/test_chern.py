@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from kernel import w_coeff
 
 import torbound
 from torbound import (
@@ -16,7 +17,6 @@ from torbound import (
     segre_cotangent,
     sym_elementary,
     top_integral,
-    w_coeff,
 )
 
 

@@ -2,22 +2,14 @@
 slot named with a leading _ is derived data, outside equality, hash and repr.
 
 Also pins public refusals and values of `series` and `witt` that no other
-test reaches, and the composition weight cap on `CompositionMultiset`.
+test reaches.
 """
 
 import re
 
 import pytest
 
-from torbound import (
-    CapacityError,
-    CompositionMultiset,
-    FiniteField,
-    TruncatedSeries,
-    ValidationError,
-    WittRing,
-    signed_multinomial,
-)
+from torbound import FiniteField, TruncatedSeries, ValidationError, WittRing
 from torbound.bounds import BoundReport, BoundShape, PexTerm, SlopeChainReport
 from torbound.errors import Frozen
 
@@ -110,19 +102,3 @@ def test_prime_field_and_ring_reprs():
     assert repr(FiniteField(5)) == "FiniteField(5)"
     assert repr(WittRing(FiniteField(3))) == "WittRing(FiniteField(3))"
 
-
-# a multiset's weight is at least its number of parts, so the part count is
-# held to the composition weight cap before any factorial or list is built
-@pytest.mark.parametrize("call", [
-    lambda: signed_multinomial((10**30,)),
-    lambda: signed_multinomial((10**8,)),
-    lambda: CompositionMultiset((10**30,)).parts(),
-], ids=["signed_multinomial-1e30", "signed_multinomial-1e8", "parts-1e30"])
-def test_a_huge_multiset_is_refused_by_the_weight_cap(call):
-    with pytest.raises(CapacityError, match=r"^composition weight cap exceeded \(64\)$"):
-        call()
-
-
-def test_the_weight_cap_admits_64_parts():
-    assert CompositionMultiset((64,)).parts() == [1] * 64
-    assert signed_multinomial((32, 32)) == 1832624140942590534

@@ -12,7 +12,6 @@ import pytest
 import torbound
 from torbound import (
     BoundInput,
-    CompositionMultiset,
     FiniteField,
     TruncatedSeries,
     WittRing,
@@ -33,7 +32,6 @@ VALUES = {
     "BoundReport": lambda: torsion_bound(BoundInput(3, 2, (1, 2), 1)),
     "BoundShape": lambda: bound_shape(3, 2, (1, 2), 1),
     "SlopeChainReport": lambda: verify_slope_chain(3, 5, 47),
-    "CompositionMultiset": lambda: CompositionMultiset((2, 0, 1)),
     "TruncatedSeries": lambda: TruncatedSeries((1, 2, 3)),
     "FiniteField": f9,
     "FqElement": lambda: f9().element((1, 2)),
@@ -58,7 +56,6 @@ RECORD_REPRS = {
         "mu_max=Fraction(4, 1), above_degree_threshold=True, above_semistable_bound=True, "
         "slope_inequality=True)"
     ),
-    "CompositionMultiset": "CompositionMultiset(multiplicities=(2, 0, 1))",
 }
 
 

@@ -6,21 +6,19 @@ import types
 import torbound
 
 PUBLIC = [
-    "BoundInput", "BoundReport", "BoundShape", "CapacityError", "CompositionMultiset",
-    "DETERMINISTIC_LIMIT", "FiniteField", "FqElement", "InternalConsistencyError", "PexTerm",
-    "SlopeChainReport", "TruncatedSeries", "ValidationError", "WittPair", "WittRing",
-    "bound_shape", "carry_coefficients", "chern_normal", "chern_tangent", "cotangent_chern",
-    "deg_abelian_bound", "deg_cotangent", "deg_pex", "enumerate_compositions",
-    "frobenius_scale", "inverse_series_coeff", "is_prime", "next_prime",
-    "pex_closed_form_general", "pex_closed_form_uniform", "pex_terms", "segre_cotangent",
-    "signed_multinomial", "sym_complete", "sym_elementary", "threshold_debarre",
-    "threshold_lemma_p", "top_integral", "torsion_bound", "verify_slope_chain", "w_coeff",
-    "z_coeff",
+    "BoundInput", "BoundReport", "BoundShape", "CapacityError", "DETERMINISTIC_LIMIT",
+    "FiniteField", "FqElement", "InternalConsistencyError", "PexTerm", "SlopeChainReport",
+    "TruncatedSeries", "ValidationError", "WittPair", "WittRing", "bound_shape",
+    "carry_coefficients", "chern_normal", "chern_tangent", "cotangent_chern",
+    "deg_abelian_bound", "deg_cotangent", "deg_pex", "frobenius_scale", "is_prime",
+    "next_prime", "pex_closed_form_general", "pex_closed_form_uniform", "pex_terms",
+    "segre_cotangent", "sym_complete", "sym_elementary", "threshold_debarre",
+    "threshold_lemma_p", "top_integral", "torsion_bound", "verify_slope_chain",
 ]
 
 
 def test_all_is_the_public_names_in_order():
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 36
     assert torbound.__all__ == PUBLIC
 
 

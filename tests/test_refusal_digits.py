@@ -11,7 +11,7 @@ import re
 import pytest
 
 from torbound import (TruncatedSeries, ValidationError, chern_normal, cotangent_chern,
-                      segre_cotangent, series, z_coeff)
+                      segre_cotangent, series)
 from torbound.errors import digits
 
 HUGE = 10**5000
@@ -56,7 +56,3 @@ def test_segre_cotangent_with_a_huge_index():
     refused(lambda: segre_cotangent(HUGE, 1, (1,), 3),
             f"coefficient index {digits(HUGE)} outside [0, 3]")
     refused(lambda: segre_cotangent(4.0, 1, (1,), 3), "coefficient index must be an int")
-
-
-def test_z_coeff_with_a_huge_c():
-    refused(lambda: z_coeff(3, HUGE, (1,)), f"exponent sequence length 1 != c = {digits(HUGE)}")
