@@ -125,13 +125,22 @@ def _terms(rows, dim, p):
     return tuple(terms)
 
 
-def _degree_sums(rows, p):
-    # (paper, dual) degree of p-free rows at p: Horner's rule at -p and at p
-    paper = dual = 0
-    for _, _, _, coeff in rows:
-        paper = coeff - paper * p
-        dual = dual * p + coeff
-    return paper, dual
+def _split(rows):
+    # the rows' coefficients, highest power first, for even m, then odd m = dim - h
+    coeffs, odd_dim = tuple(row[3] for row in rows), (len(rows) - 1) & 1
+    return coeffs[odd_dim::2], coeffs[1 - odd_dim::2]
+
+
+def _degrees(even, odd, p):
+    # (paper, dual) degree at p of _split's coefficients: one Horner pass in
+    # q = p**2 gives E over the even ones, O over the odd ones; then E -+ p*O
+    q, e, o = p * p, 0, 0
+    for coeff in even:
+        e = e * q + coeff
+    for coeff in odd:
+        o = o * q + coeff
+    o *= p
+    return e - o, e + o
 
 
 def pex_closed_form_uniform(n, c, e, d, p, convention):
@@ -150,7 +159,7 @@ def _pex_closed_form(n, c, exponents, d, p, convention, uniform):
     check_prime(p, "p must be prime")
     column = _column(convention)
     rows, _ = _closed_form_rows(n, c, exps, d, uniform)
-    return _degree_sums(rows, p)[column]
+    return _degrees(*_split(rows), p)[column]
 
 
 def _pex_geometric(tangent, ti, convention):
@@ -190,7 +199,7 @@ def deg_pex(n, c, exponents, d, p, convention):
     column = _column(convention)
     exps = _validate_bound_shape(n, c, exponents, d)
     check_prime(p, "p must be prime")
-    return _degree_sums(_shape(n, c, exps, d).rows, p)[column]
+    return _degrees(*_shape(n, c, exps, d)._plan[2:], p)[column]
 
 
 def deg_abelian_bound(n, d, p):
@@ -264,17 +273,24 @@ class BoundReport(_TermsSource):
         return terms
 
 
+# every setter of BoundReport's slots but terms', then _rows': _assemble's build
+(_set_n, _set_c, _set_exps, _set_d, _set_request, _set_mode, _set_threshold, _set_prime,
+ _set_cot, _set_w, _, _set_paper, _set_dual, _set_abelian, _set_bound_paper, _set_bound_dual,
+ _set_flags), (_set_rows,) = BoundReport._setters, _TermsSource._setters
+
+
 class BoundShape(Frozen):
     """Everything in a torsion-bound report that does not depend on p.
 
     rows[h] is (h, binom, inner, coeff) with term_dual = coeff * p**m and
     term_paper = coeff * (-p)**m, m = n - c - h: the jet-bundle degree is an
     integer polynomial in p of degree n - c. bound_shape runs every check
-    once, so a report at any prime is one evaluation of the rows.
+    once, so a report at any prime is one evaluation of the rows, by the
+    shape's row plan (see _bound_shape).
     """
 
     __slots__ = ("n", "c", "exponents", "d", "threshold", "deg_cotangent",
-                 "w_table", "rows")
+                 "w_table", "rows", "_plan")
 
     @property
     def uniform(self):
@@ -291,25 +307,30 @@ class BoundShape(Frozen):
         return self._assemble(p_request, _validate_prime(p_request, self.threshold), mode)
 
     def _assemble(self, p_request, prime_used, mode):
-        # the report at an admissible prime_used, mode checked, its terms left
-        # to build on read
-        n, c, exps, d = self.n, self.c, self.exponents, self.d
-        pex_paper, pex_dual = _degree_sums(self.rows, prime_used)
-        deg_ab = prime_used ** (2 * n) * d  # deg_abelian_bound; p is checked by callers
+        # the report at an admissible prime_used, mode checked, terms left to
+        # build on read; unrolled: one build per swept prime, 12 per prime-sweep op
+        flags, nonpositive, even, odd = self._plan
+        pex_paper, pex_dual = _degrees(even, odd, prime_used)
+        deg_ab = prime_used ** (2 * self.n) * self.d  # deg_abelian_bound; callers check p
         bound_paper = deg_ab * pex_paper
-        bound_dual = deg_ab * pex_dual
-        flags = set()
-        if bound_paper <= 0:
-            flags.add(FLAG_PAPER_NONPOSITIVE)
-        if self.uniform:
-            flags.add(FLAG_UNIFORM_CHECKED)
-            if exps[0] <= n:
-                flags.add(FLAG_E_BELOW_SIMPLE)
-        report = BoundReport(n, c, exps, d, p_request, mode, self.threshold, prime_used,
-                             self.deg_cotangent, self.w_table, None, pex_paper, pex_dual,
-                             deg_ab, bound_paper, bound_dual, frozenset(flags))
-        BoundReport.terms.__delete__(report)
-        _TermsSource._rows.__set__(report, self.rows)
+        report = object.__new__(BoundReport)
+        _set_n(report, self.n)
+        _set_c(report, self.c)
+        _set_exps(report, self.exponents)
+        _set_d(report, self.d)
+        _set_request(report, p_request)
+        _set_mode(report, mode)
+        _set_threshold(report, self.threshold)
+        _set_prime(report, prime_used)
+        _set_cot(report, self.deg_cotangent)
+        _set_w(report, self.w_table)
+        _set_paper(report, pex_paper)
+        _set_dual(report, pex_dual)
+        _set_abelian(report, deg_ab)
+        _set_bound_paper(report, bound_paper)
+        _set_bound_dual(report, deg_ab * pex_dual)
+        _set_flags(report, nonpositive if bound_paper <= 0 else flags)
+        _set_rows(report, self.rows)
         return report
 
 
@@ -335,21 +356,26 @@ def _bound_shape(n, c, exps, d):
     deg_cot = _cotangent_degree(exps, d, tangent)
     ti = math.prod(exps) * d  # top_integral
     rows, w_table = _closed_form_rows(n, c, exps, d, False)
-    scale = 1
+    scale, flags = 1, ()
     if len(set(exps)) == 1:
         uniform, uniform_table = _closed_form_rows(n, c, exps, d, True)
         check_routes("uniform specialization", ("uniform", tuple(u[3] for u in uniform)),
                      ("general", tuple(g[3] for g in rows)), "h={}")
         # the uniform table inverts (1+t)**c; t -> e*t gives prod(1 + e t)
         rows, w_table, scale = uniform, uniform_table, exps[0]
+        flags = (FLAG_UNIFORM_CHECKED,) + ((FLAG_E_BELOW_SIMPLE,) if scale <= n else ())
     check_routes("w_table", ("closed form", tuple(w * scale**i for i, w in enumerate(w_table))),
                  ("tangent series", tangent.coefficients), "t**{}")
     for convention, sign in zip(CONVENTIONS, (-1, 1)):
         closed = tuple(rows[dim - m][3] * sign**m for m in range(dim + 1))
         check_routes(f"jet-bundle degree ({convention})", ("closed form", closed),
                      ("geometric", _pex_geometric(tangent, ti, convention)), "p**{}")
-    # the threshold is threshold_debarre's, from the checked deg_cot
-    return BoundShape(n, c, exps, d, dim**2 * deg_cot, deg_cot, w_table, rows)
+    # the threshold is threshold_debarre's, from the checked deg_cot. The row
+    # plan, built once every check has passed: the flags of a report with
+    # bound_paper > 0 and <= 0, inserted in one order (a set's repr can show
+    # it), then _split(rows)
+    plan = (frozenset(flags), frozenset((FLAG_PAPER_NONPOSITIVE, *flags)), *_split(rows))
+    return BoundShape(n, c, exps, d, dim**2 * deg_cot, deg_cot, w_table, rows, plan)
 
 
 # Verified shapes kept per process, least recently used dropped first. The

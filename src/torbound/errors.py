@@ -135,7 +135,8 @@ class Frozen:
     subclass ends its __init__ in this one. Where a benchmarked workload
     builds it many times per item, the package's own builds may skip
     __init__ for an unchecked builder that unrolls the fields over _setters,
-    with a comment naming that traffic.
+    with a comment naming that traffic: FqElement and WittPair in witt,
+    BoundReport in bounds.
     """
 
     __slots__ = ()

@@ -7,6 +7,7 @@ are seeded so every run exercises the identical inputs.
 import json
 import math
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -40,6 +41,20 @@ def budget(seconds):
     yield
     elapsed = time.perf_counter() - start
     assert elapsed < seconds, f"ran {elapsed:.2f}s, budget {seconds}s"
+
+
+@contextmanager
+def cpu_budget(seconds):
+    # user plus system CPU time of this process and of the children it waited
+    # for: unlike wall-clock time, it does not grow while other work holds the CPU
+    def used():
+        return sum(usage.ru_utime + usage.ru_stime for usage in
+                   map(resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+
+    start = used()
+    yield
+    spent = used() - start
+    assert spent < seconds, f"used {spent:.2f}s of CPU, budget {seconds}s"
 
 
 def grid_cases():
@@ -238,7 +253,7 @@ def run_command(argv):
 
 
 def test_criterion_10_cli_determinism():
-    with budget(5.0):
+    with cpu_budget(5.0):
         json_outputs = []
         for argv in DOCUMENTED_COMMANDS:
             first = run_command(argv)

@@ -39,7 +39,7 @@ def test_a_record_refuses_keyword_fields():
 
 @pytest.mark.parametrize("cls, fields", [
     (PexTerm, PEX_FIELDS),
-    (BoundShape, BoundShape.__slots__),
+    (BoundShape, ("n", "c", "exponents", "d", "threshold", "deg_cotangent", "w_table", "rows")),
     (BoundReport, BoundReport.__slots__),
     (SlopeChainReport, SlopeChainReport.__slots__),
     (FiniteField, ("p", "degree", "modulus")),

@@ -11,6 +11,7 @@ requires exit code 0 or 2, counting argparse's own SystemExit.
 import contextlib
 import io
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,47 @@ ENTRY_POINTS = {
 def test_library_entry_points_return_or_raise_validation_error(data):
     name = data.draw(st.sampled_from(sorted(ENTRY_POINTS)), label="entry point")
     fn, arg_strategies = ENTRY_POINTS[name]
+    args = [data.draw(s, label=f"argument {k}") for k, s in enumerate(arg_strategies)]
+    try:
+        fn(*args)
+    except ValidationError:
+        pass
+
+
+# ints past a machine word, the deterministic primality limit and CPython's
+# int-to-str digit limit, drawn beside small ones
+HUGE = st.sampled_from([10**30, -10**30, 2**63, sys.maxsize + 1, 2**64 - 1,
+                        10**5000, -10**5000])
+WIDE = st.one_of(HUGE, SMALL)
+SHAPE = tb.bound_shape(4, 2, (1, 1), 1)
+HUGE_ENTRY_POINTS = {
+    "BoundShape.report": (SHAPE.report, [st.one_of(WIDE, st.just("auto")),
+                                         st.one_of(WIDE, st.sampled_from(["paper", "both"]))]),
+    "BoundShape.terms": (SHAPE.terms, [WIDE]),
+    "WittRing.carry": (lambda a, b: (W5.carry(a, b), W9.carry(a, b)), [WIDE, WIDE]),
+    "WittRing.carry_index": (lambda a, b: (W5.carry_index(a, b), W9.carry_index(a, b)),
+                             [WIDE, WIDE]),
+    "FqElement operators": (
+        lambda a, b, k: [(x + y, x - y, x * y, -x, x**k)
+                         for x, y in ((F.element(a), F.element(b)) for F in (F5, F9))],
+        [WIDE, WIDE, WIDE],
+    ),
+    "FqElement operand": (lambda a: (F5.one + a, F9.one * a), [WIDE]),
+    "WittPair operators": (
+        lambda a0, a1, b0, k: [(x + y, x - y, x * y, -x, x.times(k))
+                               for x, y in ((W.element(a0, a1), W.element(b0, a0))
+                                            for W in (W5, W9))],
+        [WIDE, WIDE, WIDE, WIDE],
+    ),
+    "WittPair operand": (lambda a: (W5.one + a, W9.one * a), [WIDE]),
+}
+
+
+@FUZZ
+@given(st.data())
+def test_huge_ints_return_or_raise_validation_error(data):
+    name = data.draw(st.sampled_from(sorted(HUGE_ENTRY_POINTS)), label="entry point")
+    fn, arg_strategies = HUGE_ENTRY_POINTS[name]
     args = [data.draw(s, label=f"argument {k}") for k, s in enumerate(arg_strategies)]
     try:
         fn(*args)
