@@ -306,13 +306,23 @@ class BoundShape(Frozen):
             raise ValidationError("mode must be paper|dual|both")
         return self._assemble(p_request, _validate_prime(p_request, self.threshold), mode)
 
+    def _row_values(self, p):
+        # a report's p-dependent values at p, which callers check is an
+        # admissible prime: (deg_pex_paper, deg_pex_dual, deg_abelian,
+        # bound_paper, bound_dual, flags); a CSV sweep row prints them as they are
+        flags, nonpositive, even, odd = self._plan
+        pex_paper, pex_dual = _degrees(even, odd, p)
+        deg_ab = p ** (2 * self.n) * self.d  # deg_abelian_bound
+        bound_paper = deg_ab * pex_paper
+        return (pex_paper, pex_dual, deg_ab, bound_paper, deg_ab * pex_dual,
+                nonpositive if bound_paper <= 0 else flags)
+
     def _assemble(self, p_request, prime_used, mode):
         # the report at an admissible prime_used, mode checked, terms left to
-        # build on read; unrolled: one build per swept prime, 12 per prime-sweep op
-        flags, nonpositive, even, odd = self._plan
-        pex_paper, pex_dual = _degrees(even, odd, prime_used)
-        deg_ab = prime_used ** (2 * self.n) * self.d  # deg_abelian_bound; callers check p
-        bound_paper = deg_ab * pex_paper
+        # build on read; unrolled: one build per swept prime in a JSON or
+        # table sweep
+        (pex_paper, pex_dual, deg_ab, bound_paper, bound_dual,
+         flags) = self._row_values(prime_used)
         report = object.__new__(BoundReport)
         _set_n(report, self.n)
         _set_c(report, self.c)
@@ -328,8 +338,8 @@ class BoundShape(Frozen):
         _set_dual(report, pex_dual)
         _set_abelian(report, deg_ab)
         _set_bound_paper(report, bound_paper)
-        _set_bound_dual(report, deg_ab * pex_dual)
-        _set_flags(report, nonpositive if bound_paper <= 0 else flags)
+        _set_bound_dual(report, bound_dual)
+        _set_flags(report, flags)
         _set_rows(report, self.rows)
         return report
 
@@ -420,17 +430,22 @@ def torsion_bound(inp):
     return _shape(n, c, exps, d)._assemble(inp.p, prime_used, inp.mode)
 
 
-def _sweep(n, c, exps, d, lo, hi, mode):
-    # The reports at each admissible prime in [lo, hi], streamed as primes_from
-    # finds them, mode checked; the shape is built and verified, or read from
-    # the memo, once a first prime is found.
+def _swept(n, c, exps, d, lo, hi):
+    # (shape, primes): the admissible primes in [lo, hi], streamed as
+    # primes_from finds them, and their shape, built and verified, or read
+    # from the memo, once a first prime is found; (None, ()) without one
     exps = _validate_bound_shape(n, c, exps, d)
     primes = primes_from(max(lo, _threshold(n, c, exps, d) + 1), hi)
     q = next(primes, None)
     if q is None:
-        return ()
-    shape = _shape(n, c, exps, d)
-    return (shape._assemble(p, p, mode) for p in itertools.chain((q,), primes))
+        return None, ()
+    return _shape(n, c, exps, d), itertools.chain((q,), primes)
+
+
+def _sweep(n, c, exps, d, lo, hi, mode):
+    # the reports at each admissible prime in [lo, hi], mode checked
+    shape, primes = _swept(n, c, exps, d, lo, hi)
+    return (shape._assemble(p, p, mode) for p in primes)
 
 
 class SlopeChainReport(Frozen):

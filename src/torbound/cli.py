@@ -17,7 +17,8 @@ import operator
 import os
 import sys
 
-from .bounds import BoundInput, _sweep, threshold_debarre, threshold_lemma_p, torsion_bound
+from .bounds import (BoundInput, _sweep, _swept, threshold_debarre, threshold_lemma_p,
+                     torsion_bound)
 from .chern import _normal_series
 from .combinatorics import _closed_forms, check_weight
 from .errors import (InternalConsistencyError, ValidationError, check_cap, check_int,
@@ -28,13 +29,15 @@ from .witt import FiniteField, WittRing
 
 CSV_COLUMNS = ("n", "c", "e", "degL", "p", "threshold", "deg_pex_paper", "deg_pex_dual",
                "deg_abelian", "bound_paper", "bound_dual", "flags")
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 EXIT_BROKEN_PIPE = 141
 
 # Every admissible prime in a sweep range is a report row. From p = 31105,
-# the shape (12, 6, (1,2,3,1,2,3), 2) gives 950 CSV rows in 0.013-0.015 s at
-# width 10**4, 8,902 rows in 0.13-0.14 s at 10**5 and 77,428 rows in 1.3-1.8 s
-# at 10**6 (2-vCPU Xeon, CPython 3.11.7, in-process, a noisy shared host).
+# the shape (12, 6, (1,2,3,1,2,3), 2) gives 950 CSV rows in 0.0045-0.0050 s
+# at width 10**4, 8,902 rows in 0.045-0.048 s at 10**5 and 77,428 rows in
+# 0.47-0.51 s at 10**6 (2-vCPU Xeon, CPython 3.11.7, in-process, a noisy
+# shared host).
 MAX_SWEEP_WIDTH = 10**5
 
 
@@ -98,25 +101,28 @@ def report_json_line(report):
     return json.dumps(report_json_dict(report), separators=(",", ":"))
 
 
-# the last CSV row's shape fields (n, c, exponents, d, threshold) and their
-# columns: the rows of a sweep hold its shape's objects, and a hit needs those
-_csv_shape = ((object(),) * 5, None)
+def _csv_columns(n, c, exponents, d, threshold):
+    # a row's shape columns: n, c, e and degL as one head, and the threshold
+    return (f"{digits(n)},{digits(c)},{';'.join(map(digits, exponents))},{digits(d)},",
+            digits(threshold))
+
+
+def _csv_line(columns, p, values):
+    # the one CSV line: shape columns, then a prime's values in the order of
+    # BoundShape._row_values
+    head, threshold = columns
+    pex_paper, pex_dual, deg_ab, bound_paper, bound_dual, flags = values
+    return (f"{head}{digits(p)},{threshold},{digits(pex_paper)},{digits(pex_dual)},"
+            f"{digits(deg_ab)},{digits(bound_paper)},{digits(bound_dual)},"
+            f"{';'.join(sorted(flags))}")
 
 
 def report_csv_row(report):
     """Report as one CSV line, in CSV_COLUMNS order, read from its fields."""
-    global _csv_shape
     r = report
-    fields = (r.n, r.c, r.exponents, r.d, r.threshold)
-    last, columns = _csv_shape
-    if not all(map(operator.is_, fields, last)):
-        columns = (f"{digits(r.n)},{digits(r.c)},{';'.join(map(digits, r.exponents))},"
-                   f"{digits(r.d)},", digits(r.threshold))
-        _csv_shape = (fields, columns)
-    head, threshold = columns
-    return (f"{head}{digits(r.prime_used)},{threshold},{digits(r.deg_pex_paper)},"
-            f"{digits(r.deg_pex_dual)},{digits(r.deg_abelian)},{digits(r.bound_paper)},"
-            f"{digits(r.bound_dual)},{';'.join(sorted(r.flags))}")
+    return _csv_line(_csv_columns(r.n, r.c, r.exponents, r.d, r.threshold), r.prime_used,
+                     (r.deg_pex_paper, r.deg_pex_dual, r.deg_abelian, r.bound_paper,
+                      r.bound_dual, r.flags))
 
 
 def report_table(report):
@@ -153,7 +159,7 @@ def _emit_reports(reports, fmt, out):
         for r in reports:
             out.write(report_json_line(r) + "\n")
     elif fmt == "csv":
-        out.write(",".join(CSV_COLUMNS) + "\n")
+        out.write(_CSV_HEADER)
         for r in reports:
             out.write(report_csv_row(r) + "\n")
     else:
@@ -163,6 +169,16 @@ def _emit_reports(reports, fmt, out):
                 out.write("\n")
             out.write(report_table(r) + "\n")
             first = False
+
+
+def _emit_csv_sweep(shape, primes, out):
+    # the CSV of a sweep: its shape columns once, then each prime's row values;
+    # no report is built
+    out.write(_CSV_HEADER)
+    if shape is not None:
+        columns = _csv_columns(shape.n, shape.c, shape.exponents, shape.d, shape.threshold)
+        for p in primes:
+            out.write(_csv_line(columns, p, shape._row_values(p)) + "\n")
 
 
 def _cmd_bound(args):
@@ -177,8 +193,11 @@ def _cmd_bound(args):
         if lo < 0 or hi < lo:
             raise ValidationError("--sweep-p needs 0 <= FROM <= TO")
         check_cap(hi - lo, MAX_SWEEP_WIDTH, "sweep range")
-        reports = _sweep(args.n, args.c, exps, args.degL, lo, hi, args.mode)
-        _emit_reports(reports, args.format, sys.stdout)
+        if args.format == "csv":
+            _emit_csv_sweep(*_swept(args.n, args.c, exps, args.degL, lo, hi), sys.stdout)
+        else:
+            reports = _sweep(args.n, args.c, exps, args.degL, lo, hi, args.mode)
+            _emit_reports(reports, args.format, sys.stdout)
         return 0
     p = "auto" if args.p in (None, "auto") else integer(args.p, "--p must be an integer or 'auto'")
     inp = BoundInput(args.n, args.c, exps, args.degL, p=p, mode=args.mode)

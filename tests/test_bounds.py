@@ -421,8 +421,9 @@ class TestBoundShape:
             shape.terms(0)
 
     def test_sweep_tests_each_candidate_once(self, monkeypatch, capsys):
-        # the range filter tests each odd candidate above the threshold once,
-        # and the reports it streams test nothing again
+        # is_prime tests each odd candidate above the threshold once up to the
+        # first prime, the sieve proves the rest, and the rows test nothing
+        # again: their primes are is_prime's over the whole range
         tested = []
         real = torbound.primes.is_prime
 
@@ -435,8 +436,11 @@ class TestBoundShape:
         t = threshold_debarre(n, c, exps, d)
         assert cli.main(self.sweep_argv(n, c, exps, d, t - 50, t + 200)) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
-        assert tested == list(range((t + 1) | 1, t + 201, 2))
-        assert len(rows) == sum(map(real, tested)) > 10
+        candidates = list(range((t + 1) | 1, t + 201, 2))
+        first = next(q for q in candidates if real(q))
+        assert tested == candidates[:candidates.index(first) + 1]
+        primes = [q for q in candidates if real(q)]
+        assert [int(row.split(",")[4]) for row in rows] == primes and len(primes) > 10
 
     def test_sweep_without_a_prime_builds_nothing(self, monkeypatch, capsys):
         # the build count, not the time (a dim-30 shape builds in about

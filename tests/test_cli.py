@@ -524,20 +524,20 @@ def test_sweep_past_the_limit_names_the_first_odd_candidate(capsys):
 
 def test_sweep_streams_rows(monkeypatch):
     out = io.StringIO()
-    written_before_report = []
-    real = BoundShape._assemble
+    written_before_row = []
+    real = BoundShape._row_values
 
-    def report(self, *args):
-        written_before_report.append(out.getvalue())
-        return real(self, *args)
+    def row_values(self, p):
+        written_before_row.append(out.getvalue())
+        return real(self, p)
 
-    monkeypatch.setattr(BoundShape, "_assemble", report)
+    monkeypatch.setattr(BoundShape, "_row_values", row_values)
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["bound", "--n", "2", "--c", "1", "--e", "2", "--degL", "1",
                  "--sweep-p", "5:12", "--format", "csv"]) == 0
     lines = out.getvalue().splitlines(keepends=True)
     assert len(lines) == 1 + 3  # 5, 7, 11
-    assert written_before_report[1] == "".join(lines[:2])
+    assert written_before_row[1] == "".join(lines[:2])
 
 
 @pytest.mark.parametrize("p", ["7", "auto", "junk"])

@@ -1,10 +1,15 @@
-"""A CSV sweep prints its shape's columns (n, c, e, degL, threshold) once: the
-reports of one sweep hold their shape's objects, and a row reuses the columns
-only for those identical objects, so every row reads as its own fields."""
+"""A CSV sweep prints its shape's columns (n, c, e, degL, threshold) once per
+sweep, and a report's row reads its own fields; once the report and the
+shape memo drop a shape, no CSV state holds its objects or columns."""
 
 import contextlib
+import gc
 import io
+import tracemalloc
 
+import pytest
+
+import torbound.bounds
 from torbound import BoundReport, cli
 
 ARGV = ["bound", "--n", "10", "--c", "5", "--e", "2", "--degL", "1",
@@ -38,3 +43,29 @@ def test_a_row_reads_its_own_fields_after_an_equal_shape():
     hand_built = BoundReport(*fields.values())
     assert cli.report_csv_row(hand_built).startswith("10,5,True;2;2;2;2,True,8009,8000,")
     assert cli.report_csv_row(report) == rows[0]
+
+
+@pytest.mark.parametrize("rows", ["--p", "--sweep-p"])
+def test_no_csv_state_outlives_its_report(rows):
+    # c = 20000 exponents: a tuple of 160 kB and a 40 kB e column
+    c = 20000
+    argv = ["bound", "--n", str(c + 1), "--c", str(c), "--e", "1", "--degL", "1",
+            "--format", "csv", rows, "auto" if rows == "--p" else f"{c}:{c + 12}"]
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        torbound.bounds._verified_shape.cache_clear()
+        gc.collect()
+        return out.getvalue()
+
+    run()  # the parser and the caches a first run fills
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run().count("\n") > 1
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**14

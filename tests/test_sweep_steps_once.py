@@ -100,18 +100,30 @@ def test_reading_the_terms_builds_them_once(monkeypatch):
 
 
 def test_the_first_row_is_written_before_the_last_candidate_is_tested(monkeypatch):
+    # is_prime walks to the first prime, whose row is written before the
+    # sieve tests the rest of the range
     out = io.StringIO()
-    rows_written = []   # data rows on stdout as each candidate is tested
-    real = torbound.primes.is_prime
+    tested, sieved = [], []   # data rows on stdout as each test runs
+    real_is_prime, real_segment = torbound.primes.is_prime, torbound.primes._segment
+
+    def rows():
+        return max(out.getvalue().count("\n") - 1, 0)
 
     def counted(q):
-        rows_written.append(max(out.getvalue().count("\n") - 1, 0))
-        return real(q)
+        tested.append(rows())
+        return real_is_prime(q)
+
+    def segment(a, b, base):
+        if a > 3:  # a segment of the range; _odd_primes_to sieves from 3
+            sieved.append(rows())
+        return real_segment(a, b, base)
 
     monkeypatch.setattr(torbound.primes, "is_prime", counted)
+    monkeypatch.setattr(torbound.primes, "_segment", segment)
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(sweep_argv(*SHAPE, 31105, 31400)) == 0
-    assert rows_written[0] == 0 and rows_written[-1] > 0
+    assert tested and set(tested) == {0}
+    assert sieved == [1] and out.getvalue().count("\n") - 1 > 30
 
 
 def test_a_range_across_the_witness_limit_writes_nothing(capsys):
